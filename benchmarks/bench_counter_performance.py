@@ -230,7 +230,6 @@ def test_batch_speedup(benchmark):
             lambda: sharded.count_batch(population)
         )
         n_shards = store.n_shards
-        sharded.close()
 
     speedup = per_cube_seconds / batch_seconds
     native_speedup = batch_seconds / native_seconds
@@ -273,7 +272,7 @@ def test_batch_speedup(benchmark):
     if FULL:
         assert speedup >= 3.0
         if tier != "numpy":
-            # Pure-numpy fallback (no compiler, no numba) is correct but
+            # Pure-numpy fallback (no compiler) is correct but
             # not fast; the 2x gate only applies to compiled tiers.
             assert native_speedup >= 2.0
 

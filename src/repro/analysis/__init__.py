@@ -3,7 +3,7 @@
 An AST-based lint framework purpose-built for this codebase's
 reproducibility invariants: seeded RNG only, no stray wall-clock
 reads, atomic writes, registry-resolved engines, registered event
-types, centralized multiprocessing, no float equality in the math,
+types, no process pools, no float equality in the math,
 no mutable defaults in public APIs.  See ``docs/determinism.md`` for
 the full catalogue and rationale.
 

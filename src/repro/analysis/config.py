@@ -3,11 +3,10 @@
 The defaults encode *this* repository's architecture decisions:
 
 * the wall-clock allowlist is the budget/telemetry layer — the run
-  controller owns the one run-wide deadline clock, the event bus
-  stamps trace timestamps, and the fault-tolerant dispatcher enforces
-  per-chunk timeouts and records latency telemetry;
-* ``repro/grid/parallel.py`` is the single module allowed to talk to
-  ``multiprocessing`` / ``concurrent.futures`` directly;
+  controller owns the one run-wide deadline clock and the event bus
+  stamps trace timestamps;
+* no module may import process-pool machinery: counting runs
+  in-process;
 * only ``repro/_atomic.py`` may open files for writing;
 * ``repro/core/*`` and ``repro/cli.py`` must resolve engines through
   the registry rather than naming concrete searcher classes.
@@ -41,7 +40,6 @@ def default_event_types() -> frozenset[str]:
                 "run_started",
                 "generation_end",
                 "level_end",
-                "chunk_retry",
                 "checkpoint_written",
                 "engine_finished",
             }
@@ -59,8 +57,6 @@ class LintConfig:
     clock_allowed_modules: tuple[str, ...] = (
         "repro/run/controller.py",
         "repro/engine/events.py",
-        "repro/grid/health.py",
-        "repro/grid/parallel.py",
         # The eval harness *measures* wall-clock: Table 1's time column
         # is its output, so the clock is the instrument, not a leak.
         "repro/eval/harness.py",
@@ -90,8 +86,8 @@ class LintConfig:
     #: RPL005 — the registered event vocabulary.
     event_types: frozenset[str] = field(default_factory=default_event_types)
 
-    #: RPL006 — modules allowed to import multiprocessing machinery.
-    parallel_allowed_modules: tuple[str, ...] = ("repro/grid/parallel.py",)
+    #: RPL006 — modules allowed to import process-pool machinery.
+    parallel_allowed_modules: tuple[str, ...] = ()
 
     #: RPL007 — the numeric modules where float ``==`` is checked.
     float_eq_modules: tuple[str, ...] = (
@@ -104,13 +100,9 @@ class LintConfig:
 
     #: RPL009 — modules allowed to catch broadly (``except Exception``
     #: / bare ``except``): the resilience layer owns deliberate
-    #: catch-all recovery, and the fault-tolerant dispatcher must
-    #: survive arbitrary worker failures.  Everywhere else a broad
-    #: catch hides faults the degradation ladder should see.
-    broad_except_allowed_modules: tuple[str, ...] = (
-        "repro/resilience/*",
-        "repro/grid/parallel.py",
-    )
+    #: catch-all recovery.  Everywhere else a broad catch hides faults
+    #: the degradation ladder should see.
+    broad_except_allowed_modules: tuple[str, ...] = ("repro/resilience/*",)
 
     # -- project rules (RPL010-RPL014) ---------------------------------
 

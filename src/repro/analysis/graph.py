@@ -96,11 +96,7 @@ _RESOURCE_TAILS: dict[str, str | None] = {
     "TemporaryDirectory": "tempfile",
     "NamedTemporaryFile": "tempfile",
     "mkdtemp": "tempfile",
-    "ProcessPoolExecutor": "concurrent.futures",
     "ThreadPoolExecutor": "concurrent.futures",
-    "SharedMemory": "multiprocessing.shared_memory",
-    "CountingPool": None,
-    "ShardedCountingPool": None,
 }
 
 #: Method names that release a tracked resource.
@@ -649,10 +645,7 @@ class _FactExtractor(ast.NodeVisitor):
             elif tail == "BackendSpec":
                 self._contract_arg("backend_register", node, 0, "name")
                 self._contract_arg("kernel_use", node, 1, "kernel")
-                fallback = _argument(node, 4, "fallback")
-                if fallback is not None and _str_const(fallback) is not None:
-                    self._contract("backend_use", _str_const(fallback), node)
-            elif tail in ("get_backend", "degradation_chain"):
+            elif tail == "get_backend":
                 self._contract_arg("backend_use", node, 0, "name")
             elif tail == "CountingBackend":
                 kind_arg = _argument(node, 0, "kind")

@@ -12,7 +12,7 @@ RPL003    no direct file writes — persistence goes through
           ``repro._atomic``
 RPL004    core/CLI resolve engines via the registry, never by class
 RPL005    ``emit()`` only with registered event types
-RPL006    process pools only inside ``repro.grid.parallel``
+RPL006    no process pools — counting runs in-process
 RPL007    no float ``==`` in sparsity/statistics math
 RPL008    no mutable default arguments in public APIs
 RPL009    no broad ``except Exception`` / bare ``except`` outside the
@@ -507,13 +507,13 @@ class RegisteredEventsRule(RuleVisitor):
 
 # ----------------------------------------------------------------------
 class BareParallelismRule(RuleVisitor):
-    """RPL006: process pools only inside ``repro.grid.parallel``."""
+    """RPL006: no process pools outside the configured allow-list."""
 
     code = "RPL006"
     name = "parallelism-via-grid"
     description = (
-        "ad-hoc multiprocessing bypasses the fault-tolerant dispatcher "
-        "(timeouts, retries, serial fallback, health telemetry)"
+        "counting runs in-process; a process pool would need its own "
+        "timeouts, retries and serial fallback"
     )
 
     _MODULES = ("multiprocessing", "concurrent")
@@ -532,8 +532,8 @@ class BareParallelismRule(RuleVisitor):
             if self._is_banned(alias.name):
                 self.report(
                     node,
-                    f"import of {alias.name}; use repro.grid.parallel's "
-                    "CountingPool / CountingBackend instead",
+                    f"import of {alias.name}; counting runs in-process "
+                    "(choose a kernel with CountingBackend instead)",
                 )
         self.generic_visit(node)
 
@@ -541,8 +541,8 @@ class BareParallelismRule(RuleVisitor):
         if node.module and node.level == 0 and self._is_banned(node.module):
             self.report(
                 node,
-                f"import from {node.module}; use repro.grid.parallel's "
-                "CountingPool / CountingBackend instead",
+                f"import from {node.module}; counting runs in-process "
+                "(choose a kernel with CountingBackend instead)",
             )
         self.generic_visit(node)
 

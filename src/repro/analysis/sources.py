@@ -2,7 +2,7 @@
 
 Paths are normalized so rule allowlists and baseline entries are
 machine-independent: a file inside a ``repro`` package tree is named
-from that root (``repro/grid/parallel.py``) regardless of where the
+from that root (``repro/grid/counter.py``) regardless of where the
 checkout lives; anything else keeps its walk-relative posix path.
 """
 
@@ -41,7 +41,7 @@ class ModuleSource:
 
     @property
     def module_name(self) -> str:
-        """Dotted module name (``repro.grid.parallel``) best-effort."""
+        """Dotted module name (``repro.grid.counter``) best-effort."""
         trimmed = self.path.removesuffix(".py").removesuffix("/__init__")
         return trimmed.replace("/", ".")
 

@@ -21,7 +21,7 @@ class Violation:
     Attributes
     ----------
     path:
-        Normalized posix-style path (``repro/grid/parallel.py`` for
+        Normalized posix-style path (``repro/grid/counter.py`` for
         library files, walk-root-relative otherwise).
     line / column:
         1-based line and 0-based column of the offending node.

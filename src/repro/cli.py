@@ -295,47 +295,9 @@ def _add_detector_arguments(parser: argparse.ArgumentParser) -> None:
         choices=registered_backends(),
         default="serial",
         help=(
-            "how batched cube counts execute (from the backend "
+            "which kernel counts batched cubes (from the backend "
             "registry): 'native' runs the compiled AND+popcount kernel "
-            "(numba, else a cc-compiled library, else a numpy "
-            "fallback); 'process'/'process-native' fan chunks out to a "
-            "shared-memory worker pool"
-        ),
-    )
-    parser.add_argument(
-        "--count-workers",
-        type=int,
-        default=None,
-        help="worker processes for --count-backend process (default: all cores)",
-    )
-    parser.add_argument(
-        "--count-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-chunk watchdog for --count-backend process: a chunk "
-            "exceeding this is retried and the pool rebuilt (default: "
-            "no timeout)"
-        ),
-    )
-    parser.add_argument(
-        "--count-retries",
-        type=int,
-        default=None,
-        help=(
-            "failed attempts per chunk before it degrades to the serial "
-            "kernel (default: 2); counts stay bit-identical either way"
-        ),
-    )
-    parser.add_argument(
-        "--count-chunk-size",
-        type=int,
-        default=None,
-        metavar="CUBES",
-        help=(
-            "cubes per worker task for --count-backend process; batches "
-            "smaller than this stay serial (default: 4096)"
+            "(a cc-compiled library, else a numpy fallback)"
         ),
     )
 
@@ -429,17 +391,7 @@ def _detector(args, dataset, controller=None) -> SubspaceOutlierDetector:
     )
     counting = None
     if getattr(args, "count_backend", "serial") != "serial":
-        backend_kwargs = {
-            "kind": args.count_backend,
-            "n_workers": args.count_workers,
-        }
-        if getattr(args, "count_timeout", None) is not None:
-            backend_kwargs["timeout"] = args.count_timeout
-        if getattr(args, "count_retries", None) is not None:
-            backend_kwargs["max_retries"] = args.count_retries
-        if getattr(args, "count_chunk_size", None) is not None:
-            backend_kwargs["chunk_size"] = args.count_chunk_size
-        counting = CountingBackend(**backend_kwargs)
+        counting = CountingBackend(kind=args.count_backend)
     return SubspaceOutlierDetector(
         dimensionality=args.dimensionality,
         n_ranges=phi,
@@ -480,17 +432,6 @@ def _cmd_detect(args) -> int:
                 result, detector.cells_, dataset.values, top=args.top,
                 feature_names=dataset.feature_names,
             )
-        )
-    if result.backend_degraded:
-        health = result.backend_health
-        print(
-            "warning: counting backend degraded "
-            f"({health.get('retries', 0)} retries, "
-            f"{health.get('timeouts', 0)} timeouts, "
-            f"{health.get('rebuilds', 0)} rebuilds, "
-            f"{health.get('fallbacks', 0)} fallbacks); "
-            "results are bit-identical to the serial backend",
-            file=sys.stderr,
         )
     resilience = result.stats.get("resilience", {})
     if resilience.get("degraded"):

@@ -132,10 +132,9 @@ class SubspaceOutlierDetector:
         :class:`~repro.grid.sharded.ShardedCounter`.
     counting:
         A :class:`~repro.core.params.CountingBackend` controlling how
-        batched cube counts execute (serial in-process by default; a
-        ``process`` backend fans batches out to a shared-memory worker
-        pool).  Counts and results are identical across backends; the
-        pool is released when :meth:`detect` returns.  The counter's
+        batched cube counts execute (the numpy kernel by default;
+        ``native`` runs the compiled one).  Counts and results are
+        identical across backends.  The counter's
         throughput statistics land in ``result.stats["counter_stats"]``
         either way.
     controller:
@@ -153,7 +152,7 @@ class SubspaceOutlierDetector:
     event_sink:
         Optional :class:`~repro.engine.events.EventSink` receiving the
         run's typed events (``run_started``, ``generation_end`` /
-        ``level_end``, ``chunk_retry``, ``checkpoint_written``,
+        ``level_end``, ``shard_counted``, ``checkpoint_written``,
         ``engine_finished``) — e.g. an
         :class:`~repro.engine.events.InMemoryEventSink` for tests or a
         :class:`~repro.engine.events.JsonlTraceSink` for a trace file.
@@ -311,18 +310,13 @@ class SubspaceOutlierDetector:
             array.shape[0], array.shape[1], self.n_ranges, k, self.method,
             self.n_projections, self.threshold, counter.backend.kind,
         )
-        try:
-            outcome = self._run_search(
-                counter, k, cells=cells, resume=resume, sink=sink
-            )
-            result = self._postprocess(
-                outcome, counter, k, time.perf_counter() - start, stats_sink,
-                model=model,
-            )
-        finally:
-            # Release the counting pool (if a process backend spun one
-            # up); the counter itself stays usable serially.
-            counter.close()
+        outcome = self._run_search(
+            counter, k, cells=cells, resume=resume, sink=sink
+        )
+        result = self._postprocess(
+            outcome, counter, k, time.perf_counter() - start, stats_sink,
+            model=model,
+        )
         logger.info(
             "detect done: %d projections (best %.3f), %d outliers, %.3fs%s",
             len(result.projections),
@@ -664,12 +658,6 @@ class SubspaceOutlierDetector:
                 "resilience ladder engaged during detect: %s "
                 "(results are bit-identical to the healthy path)",
                 report.summary(),
-            )
-        if counter.health.degraded:
-            logger.warning(
-                "counting backend degraded during detect: %s "
-                "(results are bit-identical to the serial backend)",
-                counter.health.summary(),
             )
         return DetectionResult(
             projections=outcome.projections,

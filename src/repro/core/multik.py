@@ -86,10 +86,10 @@ class MultiKResult:
     def backend_health_totals(self) -> dict:
         """Fault-tolerance telemetry summed over every per-k run.
 
-        Long multi-run sweeps are exactly where a single crashed worker
-        must not lose the whole job; this aggregates each run's
-        ``stats["backend_health"]`` counters (booleans OR together) so
-        ensemble drivers can check one record instead of |K|.
+        Aggregates each run's ``stats["backend_health"]`` counters
+        (booleans OR together) so ensemble drivers can check one record
+        instead of |K|.  Counting is in-process, so fresh runs sum to
+        zero; the totals matter for results saved by older versions.
         """
         return merge_backend_health(
             result.backend_health for result in self.results.values()
@@ -147,8 +147,7 @@ def detect_across_dimensionalities(
         (Equation 2's feasible range for the configured φ).
     counting:
         Optional :class:`~repro.core.params.CountingBackend` applied to
-        every per-k run (the multi-k sweep repeats the whole search per
-        dimensionality, so a process backend pays off here first).
+        every per-k run.
     detector_kwargs:
         Forwarded to every :class:`SubspaceOutlierDetector` (must not
         contain ``dimensionality``).

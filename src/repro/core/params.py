@@ -21,7 +21,6 @@ projections by default", and also the most informative choice.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .._validation import check_in_range, check_positive_int
@@ -29,71 +28,11 @@ from ..exceptions import ValidationError
 
 __all__ = [
     "CountingBackend",
-    "FaultPlan",
     "empty_cube_sparsity",
     "expected_cube_count",
     "choose_projection_dimensionality",
     "ParameterAdvisor",
 ]
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Deterministic fault injection for the process counting backend.
-
-    A plan names the chunks (by their run-wide dispatch sequence number,
-    starting at 0) on which a worker should misbehave, so chaos
-    scenarios are exactly reproducible: the chunking of a batch is
-    deterministic, hence so is the chunk a fault lands on.  Plans are
-    inert in production — ``CountingBackend.fault_plan`` defaults to
-    ``None`` and no fault checks run.
-
-    Attributes
-    ----------
-    kill_worker_on_chunk:
-        Chunk id on which the executing worker dies hard
-        (``os._exit``), breaking the whole pool exactly like a real
-        worker crash (``BrokenProcessPool``).
-    delay_chunk:
-        Chunk id the worker stalls on for ``delay_seconds`` before
-        counting — the hung-chunk scenario a per-chunk timeout catches.
-    delay_seconds:
-        Stall duration for ``delay_chunk``.
-    fail_shm_attach_once:
-        Worker initializers of the *first* pool generation raise before
-        attaching the shared-memory mask stack; the rebuilt pool
-        attaches normally.
-    trigger_limit:
-        Fire the kill/delay faults only on the first this-many dispatch
-        attempts of their chunk (attempts are 1-based).  ``None`` (the
-        default) fires on every attempt, which forces the chunk all the
-        way down to the serial fallback; ``trigger_limit=1`` lets the
-        first retry succeed.
-    """
-
-    kill_worker_on_chunk: int | None = None
-    delay_chunk: int | None = None
-    delay_seconds: float = 0.25
-    fail_shm_attach_once: bool = False
-    trigger_limit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kill_worker_on_chunk is not None:
-            check_positive_int(
-                self.kill_worker_on_chunk, "kill_worker_on_chunk", minimum=0
-            )
-        if self.delay_chunk is not None:
-            check_positive_int(self.delay_chunk, "delay_chunk", minimum=0)
-        if self.delay_seconds < 0:
-            raise ValidationError(
-                f"delay_seconds must be >= 0, got {self.delay_seconds}"
-            )
-        if self.trigger_limit is not None:
-            check_positive_int(self.trigger_limit, "trigger_limit")
-
-    def applies(self, attempt: int) -> bool:
-        """Whether faults fire on this (1-based) dispatch attempt."""
-        return self.trigger_limit is None or attempt <= self.trigger_limit
 
 
 @dataclass(frozen=True)
@@ -105,50 +44,14 @@ class CountingBackend:
     kind:
         Name of a registered counting backend (see
         :mod:`repro.grid.backends`).  ``"serial"`` evaluates batches
-        in-process with the vectorized numpy AND/popcount kernel;
-        ``"native"`` runs the compiled kernel (numba → C → numpy
-        fallback) in-process; ``"process"`` / ``"process-native"``
-        additionally fan chunks of a batch out to a pool of worker
-        processes that attach to the counter's membership masks through
-        shared memory and run the same kernel.  Counts are integers,
-        chunk boundaries are deterministic, chunk results are
-        reassembled in submission order, and every kernel is proven
-        bit-identical to the reference before it serves counts — so all
-        kinds return bit-identical results for any worker count.
-    n_workers:
-        Size of the process pool (``None`` → ``os.cpu_count()``).
-        Ignored by the serial backend.
-    chunk_size:
-        Cubes per worker task.  Batches no larger than one chunk are
-        evaluated in-process even under the process backend, since the
-        pool round-trip would dominate.
-    timeout:
-        Seconds to wait for one chunk before declaring it hung
-        (``None`` disables the watchdog — the default, so healthy runs
-        pay no overhead).  A timed-out chunk counts as a failed attempt
-        and the pool is rebuilt, since a wedged worker cannot be
-        reclaimed.
-    max_retries:
-        Failed dispatch attempts per chunk before that chunk degrades
-        to the in-process serial kernel (bit-identical counts).
-    retry_backoff:
-        Base of the exponential backoff slept between retry waves.
-    max_rebuilds:
-        Pool rebuilds (after ``BrokenProcessPool`` or a timeout) before
-        the pool is abandoned and the whole run degrades to serial.
-    fault_plan:
-        Optional deterministic :class:`FaultPlan` injected into the
-        workers — test-only chaos; ``None`` in production.
+        with the vectorized numpy AND/popcount kernel; ``"native"`` runs
+        the compiled kernel (C → numpy fallback).  Both run in-process,
+        and every kernel is proven bit-identical to the reference
+        before it serves counts, so both kinds return bit-identical
+        results.
     """
 
     kind: str = "serial"
-    n_workers: int | None = None
-    chunk_size: int = 4096
-    timeout: float | None = None
-    max_retries: int = 2
-    retry_backoff: float = 0.05
-    max_rebuilds: int = 3
-    fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         # Late import: the registry lives in the grid layer, which
@@ -156,45 +59,6 @@ class CountingBackend:
         from ..grid.backends import get_backend
 
         get_backend(self.kind)  # raises with the menu of valid names
-        if self.n_workers is not None:
-            check_positive_int(self.n_workers, "n_workers")
-        check_positive_int(self.chunk_size, "chunk_size")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValidationError(f"timeout must be > 0, got {self.timeout}")
-        check_positive_int(self.max_retries, "max_retries", minimum=0)
-        if self.retry_backoff < 0:
-            raise ValidationError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        check_positive_int(self.max_rebuilds, "max_rebuilds", minimum=0)
-        if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
-            raise ValidationError(
-                f"fault_plan must be a FaultPlan, got "
-                f"{type(self.fault_plan).__name__}"
-            )
-
-    def resolved_workers(self) -> int:
-        """The effective pool size: ``n_workers`` or the CPU count."""
-        if self.n_workers is not None:
-            return self.n_workers
-        return os.cpu_count() or 1
-
-    def retry_policy(self):
-        """This backend's knobs as a shared :class:`RetryPolicy`.
-
-        ``max_retries`` counts retries, the policy counts attempts, so
-        ``max_attempts = max_retries + 1`` — the pool's historical
-        "initial dispatch plus ``max_retries`` redispatches" behaviour
-        is preserved exactly.
-        """
-        # Late import for the same layering reason as get_backend above.
-        from ..resilience.retry import RetryPolicy
-
-        return RetryPolicy(
-            max_attempts=self.max_retries + 1,
-            backoff=self.retry_backoff,
-            backoff_cap=1.0,
-        )
 
 
 def expected_cube_count(n_points: int, n_ranges: int, dimensionality: int) -> float:

@@ -46,9 +46,8 @@ __all__ = [
 
 #: The built-in event vocabulary.  ``run_started`` / ``engine_finished``
 #: bracket every engine run; the boundary events in between depend on
-#: the engine (GA generations, brute-force levels) and on the counting
-#: backend (``chunk_retry`` comes from the fault-tolerant dispatcher;
-#: ``shard_counted`` from the out-of-core sharded counter, one per
+#: the engine (GA generations, brute-force levels) and on the counter
+#: (``shard_counted`` from the out-of-core sharded counter, one per
 #: shard counted or resumed).  ``degradation_applied`` and
 #: ``fault_recovered`` come from the resilience layer
 #: (:mod:`repro.resilience`): one per downgrade-chain step taken and
@@ -63,7 +62,6 @@ EVENT_TYPES: set[str] = {
     "run_started",
     "generation_end",
     "level_end",
-    "chunk_retry",
     "shard_counted",
     "checkpoint_written",
     "engine_finished",

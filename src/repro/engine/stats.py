@@ -62,15 +62,12 @@ class StatsAssemblySink(EventSink):
     def __init__(self) -> None:
         self.event_counts: dict[str, int] = {}
         self.checkpoints_written = 0
-        self.chunk_retries = 0
         self.finished_payload: dict | None = None
 
     def emit(self, event: Event) -> None:
         self.event_counts[event.type] = self.event_counts.get(event.type, 0) + 1
         if event.type == "checkpoint_written":
             self.checkpoints_written += 1
-        elif event.type == "chunk_retry":
-            self.chunk_retries += 1
         elif event.type == "engine_finished":
             self.finished_payload = dict(event.payload)
 

@@ -1,20 +1,14 @@
-"""The counting-backend registry: named execution strategies for counts.
+"""The counting-backend registry: named kernels for batched counts.
 
-A *backend* pairs a counting **kernel** (the pure batch function, see
-:mod:`repro.grid.kernels`) with an **execution strategy** (in-process,
-or fanned out over the fault-tolerant
-:class:`~repro.grid.parallel.CountingPool`).  Counters resolve their
-:class:`~repro.core.params.CountingBackend` policy through this
-registry, the CLI builds its ``--count-backend`` choices from it, and
-pool workers resolve the same kernel by name so a pool-wrapped backend
-runs the identical arithmetic inside every worker.
+A *backend* names the counting **kernel** (the pure batch function, see
+:mod:`repro.grid.kernels`) a counter runs in-process.  Counters resolve
+their :class:`~repro.core.params.CountingBackend` policy through this
+registry, and the CLI builds its ``--count-backend`` choices from it.
 
 Built-ins::
 
-    serial           numpy reference kernel, in-process
-    process          numpy reference kernel, worker pool over shm
-    native           compiled kernel (numba → C → numpy), in-process
-    process-native   compiled kernel inside each pool worker
+    serial           numpy reference kernel
+    native           compiled kernel (C → numpy)
 
 **Conformance.**  No kernel serves counts before it is proven
 bit-identical to the reference: :func:`verify_kernel` runs a
@@ -23,7 +17,7 @@ values, k = 1..3, empty/full cubes) and raises
 :class:`BackendConformanceError` on any divergence.  Registration of a
 non-builtin kernel verifies eagerly; builtins are verified once on
 first resolution (so importing this module stays cheap — verifying the
-native kernel would trigger JIT/C compilation at import time).
+native kernel would trigger C compilation at import time).
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from .native import native_batch_counts
 __all__ = [
     "BackendConformanceError",
     "BackendSpec",
-    "degradation_chain",
     "get_backend",
     "register_backend",
     "register_kernel",
@@ -70,33 +63,17 @@ class BackendSpec:
     kernel:
         Name of the registered kernel this backend executes (see
         :func:`register_kernel`).
-    uses_pool:
-        Whether large batches fan out over the fault-tolerant
-        :class:`~repro.grid.parallel.CountingPool` (the kernel then
-        runs inside each worker, and chunk recovery re-runs it
-        in-process — bit-identical either way).
     description:
         One-line summary surfaced in CLI help and docs.
-    fallback:
-        Name of the backend the degradation ladder steps down to when
-        this one fails repeatedly (``None`` = bottom of the chain).
-        Every registered backend is bit-identical to the reference, so
-        walking the chain only ever trades speed, never results.
     """
 
     name: str
     kernel: str
-    uses_pool: bool
     description: str
-    fallback: str | None = None
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValidationError("backend name must be a non-empty string")
-        if self.fallback == self.name:
-            raise ValidationError(
-                f"backend {self.name!r} cannot be its own fallback"
-            )
 
 
 _KERNELS: dict[str, Kernel] = {}
@@ -252,12 +229,6 @@ def register_backend(spec: BackendSpec, *, verify: bool = True) -> None:
             f"{spec.kernel!r}; register the kernel first "
             f"(registered: {sorted(_KERNELS)})"
         )
-    if spec.fallback is not None and spec.fallback not in _BACKENDS:
-        raise ValidationError(
-            f"backend {spec.name!r} names unregistered fallback "
-            f"{spec.fallback!r}; register the fallback first "
-            f"(registered: {registered_backends()})"
-        )
     if verify:
         resolve_kernel(spec.kernel)
     _BACKENDS[spec.name] = spec
@@ -279,27 +250,9 @@ def get_backend(name: str) -> BackendSpec:
         ) from None
 
 
-def degradation_chain(name: str) -> list[str]:
-    """The downgrade path from backend *name* to the chain's bottom.
-
-    E.g. ``degradation_chain("process-native")`` →
-    ``["process-native", "native", "serial"]``.  Registration validates
-    fallbacks exist and are not self-referential; a cycle introduced by
-    third-party registrations is cut here rather than looping forever.
-    """
-    chain = [get_backend(name).name]
-    seen = {chain[0]}
-    while True:
-        fallback = get_backend(chain[-1]).fallback
-        if fallback is None or fallback in seen:
-            return chain
-        chain.append(fallback)
-        seen.add(fallback)
-
-
 # ----------------------------------------------------------------------
 # builtins — kernels unverified at import (proven on first resolution),
-# so importing the registry never triggers JIT or C compilation.
+# so importing the registry never triggers C compilation.
 # ----------------------------------------------------------------------
 register_kernel("numpy", batch_counts, verify=False)
 register_kernel("native", native_batch_counts, verify=False)
@@ -308,18 +261,7 @@ register_backend(
     BackendSpec(
         name="serial",
         kernel="numpy",
-        uses_pool=False,
-        description="vectorized numpy kernel, in-process",
-    ),
-    verify=False,
-)
-register_backend(
-    BackendSpec(
-        name="process",
-        kernel="numpy",
-        uses_pool=True,
-        description="numpy kernel fanned out over the shared-memory pool",
-        fallback="serial",
+        description="vectorized numpy kernel",
     ),
     verify=False,
 )
@@ -327,19 +269,7 @@ register_backend(
     BackendSpec(
         name="native",
         kernel="native",
-        uses_pool=False,
-        description="compiled kernel (numba → C → numpy fallback), in-process",
-        fallback="serial",
-    ),
-    verify=False,
-)
-register_backend(
-    BackendSpec(
-        name="process-native",
-        kernel="native",
-        uses_pool=True,
-        description="compiled kernel inside each shared-memory pool worker",
-        fallback="native",
+        description="compiled kernel (C → numpy fallback)",
     ),
     verify=False,
 )

@@ -15,10 +15,7 @@ cheap:
 * :meth:`count_batch` evaluates an entire GA population (or one
   brute-force level) in one pass: duplicates are folded through the
   memo, the distinct cubes are resolved by a prefix-sharing batch
-  kernel (siblings reuse the AND of their common prefix), and — under a
-  ``process`` :class:`~repro.core.params.CountingBackend` — chunks of
-  the batch run on a worker pool that reads the masks from shared
-  memory;
+  kernel (siblings reuse the AND of their common prefix);
 * :meth:`extension_counts` returns the counts for **all φ extensions**
   of a partial cube along one dimension in a single ``bincount`` — the
   inner loop of the depth-first brute-force enumeration and the
@@ -26,11 +23,10 @@ cheap:
 
 The batch kernel itself is pluggable: the counter resolves its
 :class:`~repro.core.params.CountingBackend` through the backend
-registry (:mod:`repro.grid.backends`), which pairs an execution
-strategy (in-process or pool) with a named kernel — the numpy
-reference (:mod:`repro.grid.kernels`) or the compiled native kernel
-(:mod:`repro.grid.native`).  Every kernel is proven bit-identical to
-the reference before it serves counts.
+registry (:mod:`repro.grid.backends`), which names the kernel to run
+in-process — the numpy reference (:mod:`repro.grid.kernels`) or the
+compiled native kernel (:mod:`repro.grid.native`).  Every kernel is
+proven bit-identical to the reference before it serves counts.
 """
 
 from __future__ import annotations
@@ -76,9 +72,7 @@ class CubeCounter:
         allocated and the hot path skips every cache lookup).
     backend:
         A :class:`~repro.core.params.CountingBackend` choosing how
-        :meth:`count_batch` executes (serial by default).  The process
-        backend spins its worker pool up lazily on the first large
-        batch; call :meth:`close` to release it.
+        :meth:`count_batch` executes (serial by default).
     """
 
     #: Whether ``self._stack`` holds bit-packed uint64 words (subclass
@@ -115,10 +109,9 @@ class CubeCounter:
             )
         self.cache_size = check_positive_int(cache_size, "cache_size", minimum=0)
         self.backend = backend or CountingBackend()
-        # Resolve the execution strategy now (unknown kinds fail fast
-        # with the registry's menu); the kernel itself resolves lazily
-        # on the first batch, since resolving the native kernel may
-        # JIT/compile.
+        # Resolve the backend now (unknown kinds fail fast with the
+        # registry's menu); the kernel itself resolves lazily on the
+        # first batch, since resolving the native kernel may compile.
         self._spec = get_backend(self.backend.kind)
         self._kernel = None
         self._cache: OrderedDict[tuple, int] | None = (
@@ -132,11 +125,7 @@ class CubeCounter:
         self.n_batch_cubes = 0
         self.n_words_and = 0
         self.n_prefix_reuse = 0
-        self.n_parallel_chunks = 0
         self.batch_seconds = 0.0
-        self.health = BackendHealth()
-        self._pool = None
-        self._pool_failed = False
         self.cancel_token = None
         self.event_sink = None
         # Run-wide resilience bookkeeping: every retry, recovery and
@@ -227,8 +216,7 @@ class CubeCounter:
         GA population — and cubes already memoised are resolved through
         the cache; only the distinct misses hit the batch kernel, which
         shares intermediate AND results across cubes with a common
-        prefix.  Under a ``process`` backend, large miss sets are split
-        into deterministic chunks and evaluated on the worker pool.
+        prefix.
 
         Returns an ``int64`` array aligned with the input order.
         Results are identical to calling :meth:`count` per cube.
@@ -325,8 +313,6 @@ class CubeCounter:
         byte for byte and cached counts equal from-scratch recounts,
         because cube counts are additive across row blocks.
 
-        Any worker pool is released first (it holds the old masks in
-        shared memory) and is rebuilt lazily on the next large batch.
         Returns the number of rows appended.
         """
         block = self._validate_append_codes(codes)
@@ -339,7 +325,6 @@ class CubeCounter:
             delta_stack = self._block_stack(block)
             keys = list(cache.keys())
             deltas = self._keys_on_stack(delta_stack, keys, m)
-        self.close()
         self._append_masks(block)
         self.cells = CellAssignment(
             codes=np.concatenate([self.cells.codes, block], axis=0),
@@ -427,8 +412,8 @@ class CubeCounter:
     def set_cancel_token(self, token) -> None:
         """Thread a :class:`~repro.run.cancel.CancelToken` into counting.
 
-        A long batch (many serial chunks, or many pool dispatch waves)
-        checks the token between chunks and raises
+        A long batch (many chunks, or many shards) checks the token
+        between them and raises
         :class:`~repro.exceptions.SearchCancelled` once it flips, so an
         interrupted search never waits for a full level/generation of
         counting to finish.  Callers that set a token must be prepared
@@ -440,8 +425,8 @@ class CubeCounter:
     def set_event_sink(self, sink) -> None:
         """Attach an :class:`~repro.engine.events.EventSink` to counting.
 
-        The fault-tolerant dispatcher reports worker trouble
-        (``chunk_retry`` events) through it.  Pass ``None`` to detach.
+        Kernel downgrades and shard progress are reported through it.
+        Pass ``None`` to detach.
         """
         self.event_sink = sink
 
@@ -522,12 +507,6 @@ class CubeCounter:
 
     def _count_group(self, dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
         """Counts for one same-k group of distinct cubes."""
-        n_cubes = len(dims_arr)
-        backend = self.backend
-        if self._spec.uses_pool and n_cubes > backend.chunk_size:
-            pool = self._ensure_pool()
-            if pool is not None:
-                return self._count_group_parallel(pool, dims_arr, rng_arr)
         return self._serial_group_counts(self._stack, dims_arr, rng_arr)
 
     def _serial_group_counts(
@@ -561,40 +540,6 @@ class CubeCounter:
         out[order] = sorted_counts
         return out
 
-    def _count_group_parallel(
-        self, pool, dims_arr: np.ndarray, rng_arr: np.ndarray
-    ) -> np.ndarray:
-        """Fan one same-k group out to the worker pool, order-stable."""
-        n_cubes = len(dims_arr)
-        chunk = self.backend.chunk_size
-        order = self._sibling_order(dims_arr, rng_arr)
-        sd, sr = dims_arr[order], rng_arr[order]
-        chunks = [
-            (sd[lo : lo + chunk], sr[lo : lo + chunk])
-            for lo in range(0, n_cubes, chunk)
-        ]
-        results = pool.map_chunks(
-            chunks, cancel_token=self.cancel_token, event_sink=self.event_sink
-        )
-        if pool.is_degraded:
-            # The pool exhausted its rebuild budget mid-run; release it
-            # and run every later batch on the plain serial path.
-            logger.warning(
-                "counting pool degraded beyond repair (%s); remaining "
-                "batches run serially",
-                self.health.summary(),
-            )
-            self.close()
-            self._pool_failed = True
-        self.n_parallel_chunks += len(chunks)
-        for _, words, reuse in results:
-            self.n_words_and += int(words)
-            self.n_prefix_reuse += int(reuse)
-        sorted_counts = np.concatenate([counts for counts, _, _ in results])
-        out = np.empty(n_cubes, dtype=np.int64)
-        out[order] = sorted_counts
-        return out
-
     @staticmethod
     def _sibling_order(dims_arr: np.ndarray, rng_arr: np.ndarray) -> np.ndarray:
         """Lexicographic cube order: keeps shared prefixes adjacent."""
@@ -607,54 +552,6 @@ class CubeCounter:
     def _absorb_kernel_stats(self, stats: dict) -> None:
         self.n_words_and += stats["words_and"]
         self.n_prefix_reuse += stats["prefix_reuse"]
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        """The lazy process pool, or None if unavailable (serial fallback)."""
-        if self._pool is not None:
-            return self._pool
-        if self._pool_failed:
-            return None
-        try:
-            from .parallel import CountingPool
-
-            self._pool = CountingPool(
-                self._stack,
-                self._packed_stack,
-                self.backend,
-                self.health,
-                kernel=self._spec.kernel,
-                report=self.resilience,
-            )
-        except Exception as exc:  # repro-lint: disable=RPL009
-            logger.warning(
-                "process counting backend unavailable (%s); falling back to serial",
-                exc,
-            )
-            self.health.pool_unavailable = True
-            self._pool_failed = True
-            self._ladder.apply(
-                "counting-pool", self.backend.kind, "serial",
-                f"pool unavailable: {exc}",
-            )
-            return None
-        return self._pool
-
-    def close(self) -> None:
-        """Release the worker pool and its shared-memory masks, if any.
-
-        Safe to call repeatedly; the pool is recreated lazily if another
-        parallel batch arrives later.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown dependent
-        try:
-            self.close()
-        except Exception:  # repro-lint: disable=RPL009
-            pass
 
     # ------------------------------------------------------------------
     def extension_counts(self, base_mask: np.ndarray, dim: int) -> np.ndarray:
@@ -702,8 +599,8 @@ class CubeCounter:
         ``count_calls`` / ``cache_hits`` / ``cache_misses`` cover every
         cube counted, whether through :meth:`count` or
         :meth:`count_batch` (a duplicate within one batch counts as a
-        hit).  The ``batch_*`` fields, ``words_and``, ``prefix_reuse``
-        and ``parallel_chunks`` describe the batch engine specifically;
+        hit).  The ``batch_*`` fields, ``words_and`` and
+        ``prefix_reuse`` describe the batch engine specifically;
         ``batch_seconds`` is the wall time spent inside
         :meth:`count_batch`.
         """
@@ -718,7 +615,6 @@ class CubeCounter:
             "batch_cubes": self.n_batch_cubes,
             "words_and": self.n_words_and,
             "prefix_reuse": self.n_prefix_reuse,
-            "parallel_chunks": self.n_parallel_chunks,
             "batch_seconds": self.batch_seconds,
             "backend": self.backend.kind,
             "kernel": self._spec.kernel,
@@ -734,15 +630,13 @@ class CubeCounter:
         return info
 
     def backend_health(self) -> dict:
-        """Fault-tolerance telemetry for this counter's backend.
+        """The ``backend_health`` record: all-zero, counting is in-process.
 
-        Retries, timeouts, pool rebuilds, serial-fallback events and
-        the per-chunk latency histogram recorded by the resilient
-        process-pool dispatcher (see
-        :class:`~repro.grid.health.BackendHealth`).  A serial backend
-        — or a clean parallel run — reports all-zero counters.
+        Kept so ``stats["backend_health"]`` has the same fields for
+        every run (see :class:`~repro.grid.health.BackendHealth`);
+        kernel downgrades are reported in ``stats["resilience"]``.
         """
-        return self.health.as_dict()
+        return BackendHealth().as_dict()
 
     def clear_cache(self) -> None:
         """Drop all memoised counts (e.g. between benchmark rounds)."""

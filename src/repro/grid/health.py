@@ -1,16 +1,11 @@
 """Run telemetry for the counting backend: the ``backend_health`` record.
 
-One :class:`BackendHealth` instance lives on each
-:class:`~repro.grid.counter.CubeCounter` for the whole detection run.
-The serial backend never touches it (all counters stay zero, which is
-itself the signal that nothing degraded); the process backend's
-resilient dispatcher (:mod:`repro.grid.parallel`) records every retry,
-timeout, pool rebuild and serial-fallback event into it, plus a
-log-scale latency histogram of successful parallel chunks.
-
-The record surfaces as ``result.stats["backend_health"]`` so ensemble
-drivers and operators can tell a clean run from one that silently
-degraded to the (bit-identical) serial kernel.
+Counting runs in-process, so a run's :class:`BackendHealth` never
+records a retry, timeout, rebuild or fallback: every field reports
+0/False.  The record keeps its full shape because it surfaces as
+``result.stats["backend_health"]`` — saved results, ensemble drivers
+and benchmarks read its fields — and kernel downgrades are reported
+through ``stats["resilience"]`` instead.
 
 This module also hosts the grid *occupancy drift* check
 (:func:`check_grid_drift`): the serving-time counterpart that tells an
@@ -34,35 +29,22 @@ __all__ = [
     "occupancy_divergence",
 ]
 
-#: Upper edges (seconds) of the per-chunk latency histogram buckets;
-#: latencies above the last edge land in the overflow bucket.
+#: Upper edges (seconds) of the ``chunk_latency`` histogram buckets;
+#: the last key of the histogram is the overflow bucket.
 LATENCY_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 
 
 class BackendHealth:
-    """Mutable counters describing one run's counting-backend behaviour.
+    """The ``backend_health`` record of one run: all counters at zero.
 
     Attributes
     ----------
-    retries:
-        Chunk dispatch attempts that failed and were re-queued.
-    timeouts:
-        Chunks that exceeded the backend's per-chunk ``timeout``.
-    rebuilds:
-        Times the worker pool was torn down and respawned after
-        breaking (worker death, failed initializer, wedged worker).
-    fallbacks:
-        Chunks whose counts were recovered by the in-process serial
-        kernel after the parallel path gave up on them.
+    retries, timeouts, rebuilds, fallbacks:
+        Failed, timed-out, rebuilt and recovered chunk dispatches.
     chunks_parallel / chunks_serial:
-        Chunks that completed on the pool vs. through the serial
-        fallback.
-    pool_degraded:
-        The pool exhausted ``max_rebuilds`` (or a rebuild itself
-        failed) and was abandoned mid-run.
-    pool_unavailable:
-        The pool could not be constructed at all (no /dev/shm,
-        restricted container) and the run was serial from the start.
+        Chunks counted off-process vs. recovered in-process.
+    pool_degraded, pool_unavailable:
+        Whether a worker pool was abandoned or never available.
     """
 
     __slots__ = (
@@ -74,10 +56,6 @@ class BackendHealth:
         "chunks_serial",
         "pool_degraded",
         "pool_unavailable",
-        "latency_count",
-        "latency_total",
-        "latency_max",
-        "_latency_buckets",
     )
 
     def __init__(self) -> None:
@@ -89,60 +67,11 @@ class BackendHealth:
         self.chunks_serial = 0
         self.pool_degraded = False
         self.pool_unavailable = False
-        self.latency_count = 0
-        self.latency_total = 0.0
-        self.latency_max = 0.0
-        self._latency_buckets = [0] * (len(LATENCY_BUCKETS) + 1)
 
-    # ------------------------------------------------------------------
-    def record_latency(self, seconds: float) -> None:
-        """File one successful parallel chunk's wall latency."""
-        self.latency_count += 1
-        self.latency_total += seconds
-        if seconds > self.latency_max:
-            self.latency_max = seconds
-        for i, edge in enumerate(LATENCY_BUCKETS):
-            if seconds <= edge:
-                self._latency_buckets[i] += 1
-                return
-        self._latency_buckets[-1] += 1
-
-    @property
-    def degraded(self) -> bool:
-        """True if anything at all went wrong this run."""
-        return bool(
-            self.retries
-            or self.timeouts
-            or self.rebuilds
-            or self.fallbacks
-            or self.pool_degraded
-            or self.pool_unavailable
-        )
-
-    def merge(self, other: "BackendHealth") -> None:
-        """Accumulate *other*'s counters into this record (multi-run)."""
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.rebuilds += other.rebuilds
-        self.fallbacks += other.fallbacks
-        self.chunks_parallel += other.chunks_parallel
-        self.chunks_serial += other.chunks_serial
-        self.pool_degraded = self.pool_degraded or other.pool_degraded
-        self.pool_unavailable = self.pool_unavailable or other.pool_unavailable
-        self.latency_count += other.latency_count
-        self.latency_total += other.latency_total
-        self.latency_max = max(self.latency_max, other.latency_max)
-        for i, n in enumerate(other._latency_buckets):
-            self._latency_buckets[i] += n
-
-    # ------------------------------------------------------------------
     def as_dict(self) -> dict:
         """JSON-friendly snapshot (what lands in ``result.stats``)."""
-        buckets = {
-            f"<={edge:g}s": self._latency_buckets[i]
-            for i, edge in enumerate(LATENCY_BUCKETS)
-        }
-        buckets[f">{LATENCY_BUCKETS[-1]:g}s"] = self._latency_buckets[-1]
+        buckets = {f"<={edge:g}s": 0 for edge in LATENCY_BUCKETS}
+        buckets[f">{LATENCY_BUCKETS[-1]:g}s"] = 0
         return {
             "retries": self.retries,
             "timeouts": self.timeouts,
@@ -153,24 +82,12 @@ class BackendHealth:
             "pool_degraded": self.pool_degraded,
             "pool_unavailable": self.pool_unavailable,
             "chunk_latency": {
-                "count": self.latency_count,
-                "total_seconds": self.latency_total,
-                "max_seconds": self.latency_max,
+                "count": 0,
+                "total_seconds": 0.0,
+                "max_seconds": 0.0,
                 "buckets": buckets,
             },
         }
-
-    def summary(self) -> str:
-        """One-line operator summary of the degradation counters."""
-        return (
-            f"{self.retries} retries, {self.timeouts} timeouts, "
-            f"{self.rebuilds} rebuilds, {self.fallbacks} fallbacks "
-            f"({self.chunks_parallel} chunks parallel, "
-            f"{self.chunks_serial} serial)"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BackendHealth({self.summary()})"
 
 
 # ----------------------------------------------------------------------

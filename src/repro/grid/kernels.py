@@ -16,8 +16,8 @@ This module holds the vectorized numpy reference kernel
 the compiled tiers live in :mod:`repro.grid.native` and are registered
 against this reference by :mod:`repro.grid.backends`, which proves any
 kernel bit-identical on a differential fixture before it may serve
-counts.  Module-level (rather than methods) so pool workers can run an
-identical kernel against a shared-memory view of the stack.
+counts.  Module-level (rather than methods) so every counter flavour
+runs the identical kernel against its own mask stack.
 """
 
 from __future__ import annotations

@@ -8,10 +8,6 @@ native loop reads each word once, ANDs in registers and popcounts with
 the hardware instruction.  This module provides that kernel behind a
 tier ladder, best first:
 
-``numba``
-    A JIT-compiled byte-wise kernel (used when :mod:`numba` is
-    importable).  Preferred because it needs no compiler toolchain at
-    runtime.
 ``c``
     A tiny C kernel compiled on demand with the system C compiler
     (``cc``/``gcc``/``clang``; override with ``$REPRO_CC``) into a
@@ -20,11 +16,10 @@ tier ladder, best first:
     with cache-blocked mask traversal.
 ``numpy``
     A pure-numpy row-blocked kernel — always available, so the native
-    backend degrades gracefully when neither numba nor a C compiler
-    exists.
+    backend degrades gracefully when no C compiler exists.
 
 Tier selection is automatic (first available wins) and can be forced
-with ``$REPRO_NATIVE_KERNEL`` (``auto``/``numba``/``c``/``numpy``) or,
+with ``$REPRO_NATIVE_KERNEL`` (``auto``/``c``/``numpy``) or,
 in tests, the :func:`forced_tier` context manager.  Every tier consumes
 the same inputs — the counter's mask stack viewed as raw bytes — and
 returns exact integer counts, so results are bit-identical across
@@ -32,7 +27,7 @@ tiers by construction; :mod:`repro.grid.backends` additionally *proves*
 it against the reference kernel on a differential fixture before the
 kernel may serve counts.
 
-All three tiers operate on the stack's uint8 byte view, which unifies
+Both tiers operate on the stack's uint8 byte view, which unifies
 the boolean counter (one 0/1 byte per point) and the packed counter
 (8 points per byte): AND distributes over both layouts and popcount of
 a 0/1 byte is its value, so one kernel serves both counters, including
@@ -68,7 +63,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: Tier ladder, best first.  ``numpy`` is always available.
-KERNEL_TIERS = ("numba", "c", "numpy")
+KERNEL_TIERS = ("c", "numpy")
 
 #: Words per cache block for the C tier: 512 uint64 = 4 KiB per mask
 #: row segment, so one block of every mask in a k-chain stays resident
@@ -193,48 +188,6 @@ _FORCED_TIER: str | None = None
 # ----------------------------------------------------------------------
 # tier implementations
 # ----------------------------------------------------------------------
-def _build_numba_impl() -> _KernelImpl | None:
-    """The numba tier, or None when numba is not importable."""
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-    # A half-installed numba can raise beyond ImportError at import
-    # time; any failure just means "no numba tier".
-    except Exception:  # repro-lint: disable=RPL009
-        return None
-    popcount8 = np.array(
-        [int(value).bit_count() for value in range(256)], dtype=np.int64
-    )
-
-    @njit(nogil=True, cache=False)
-    def _kernel(
-        flat: np.ndarray, rows: np.ndarray, counts: np.ndarray
-    ) -> None:  # pragma: no cover - requires numba
-        n_cubes, k = rows.shape
-        row_bytes = flat.shape[1]
-        for b in range(n_cubes):
-            r0 = rows[b, 0]
-            acc = 0
-            for w in range(row_bytes):
-                v = flat[r0, w]
-                for level in range(1, k):
-                    v &= flat[rows[b, level], w]
-                acc += popcount8[v]
-            counts[b] = acc
-
-    # Warm the JIT on a trivial input so compilation errors surface at
-    # resolution time (and are reported as tier-unavailable), not in
-    # the middle of a search.
-    probe_counts = np.zeros(1, dtype=np.int64)
-    _kernel(
-        np.ones((2, 8), dtype=np.uint8),
-        np.array([[0, 1]], dtype=np.int64),
-        probe_counts,
-    )
-    if int(probe_counts[0]) != 8:  # pragma: no cover - broken toolchain
-        raise RuntimeError("numba kernel self-probe returned a wrong count")
-    return _kernel
-
-
 def _find_compiler() -> str | None:
     """The system C compiler executable, or None."""
     override = os.environ.get("REPRO_CC")
@@ -252,7 +205,7 @@ def _compile_c_library(compiler: str) -> str:
 
     The cache key digests the source, the compiler and the flag set, so
     a source or toolchain change recompiles instead of loading a stale
-    library.  Concurrent builders (e.g. pool workers racing on a cold
+    library.  Concurrent builders (e.g. two processes racing on a cold
     cache) are safe: each compiles to a private temp name and installs
     with an atomic :func:`os.replace`.
     """
@@ -340,7 +293,6 @@ def _numpy_impl(flat: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> None:
 
 
 _BUILDERS: dict[str, Callable[[], _KernelImpl | None]] = {
-    "numba": _build_numba_impl,
     "c": _build_c_impl,
     "numpy": lambda: _numpy_impl,
 }
@@ -377,7 +329,7 @@ def resolve_tier(preference: str | None = None) -> str:
     *preference* (default: ``$REPRO_NATIVE_KERNEL`` or ``auto``) may
     name a tier to force; forcing an unavailable tier raises rather
     than silently substituting, so a misconfigured deployment fails
-    loudly.  ``auto`` walks the ladder numba → c → numpy and always
+    loudly.  ``auto`` walks the ladder c → numpy and always
     succeeds (the numpy fallback has no requirements).
     """
     pref = preference if preference is not None else _preference()

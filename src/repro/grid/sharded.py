@@ -23,13 +23,10 @@ Three pieces implement this:
 
 :class:`ShardedCounter`
     A drop-in :class:`~repro.grid.counter.CubeCounter` whose masks live
-    in the store instead of RAM.  Batches run per shard through the
-    backend registry's kernels (numpy reference or compiled native);
-    under a pool backend the shards fan out across
-    :class:`~repro.grid.parallel.ShardedCountingPool` workers, each of
-    which opens its *own* mmap view — no shared-memory copy of the
-    stack exists anywhere.  Per-shard merged counts are bit-identical
-    to the in-memory counters (differentially tested).
+    in the store instead of RAM.  Batches run one shard at a time
+    through the backend registry's kernels (numpy reference or compiled
+    native).  Per-shard merged counts are bit-identical to the
+    in-memory counters (differentially tested).
 
 :class:`ShardCheckpointer`
     Records per-shard completion of the in-flight batch through a
@@ -713,10 +710,7 @@ class ShardedCounter(CubeCounter):
         counters; a pure out-of-core counter (``cells=None``) supports
         every mask-based path and raises a clear error for those two.
     cache_size, backend:
-        As on :class:`~repro.grid.counter.CubeCounter`.  Pool backends
-        dispatch whole shards to
-        :class:`~repro.grid.parallel.ShardedCountingPool` workers that
-        open their own mmap views.
+        As on :class:`~repro.grid.counter.CubeCounter`.
     checkpointer:
         Optional :class:`ShardCheckpointer`; when set, every counted
         shard of the in-flight batch is recorded so an interrupted run
@@ -944,9 +938,9 @@ class ShardedCounter(CubeCounter):
         """Per-shard counts of one same-k group, merged by summation.
 
         Shards already recorded by the checkpointer (an interrupted
-        earlier attempt at this same group) are replayed; the rest run
-        serially — with a cancellation check at every shard boundary —
-        or fan out to the mmap worker pool under a pool backend.
+        earlier attempt at this same group) are replayed; the rest are
+        counted one shard at a time, with a cancellation check at every
+        shard boundary.
         """
         n_cubes = len(dims_arr)
         store = self.store
@@ -955,7 +949,6 @@ class ShardedCounter(CubeCounter):
         if self.shard_checkpointer is not None:
             digest = group_digest(store.fingerprint, dims_arr, rng_arr)
             group = self.shard_checkpointer.group(digest, store.n_shards)
-        pending: list[int] = []
         for shard_id in range(store.n_shards):
             recorded = group.completed.get(shard_id) if group is not None else None
             if recorded is not None and recorded.shape == (n_cubes,):
@@ -965,54 +958,19 @@ class ShardedCounter(CubeCounter):
                     self.event_sink, "shard_counted",
                     shard=shard_id, action="resumed", cubes=n_cubes,
                 )
-            else:
-                pending.append(shard_id)
-        pool = None
-        if self._spec.uses_pool and pending:
-            pool = self._ensure_pool()
-        if pool is not None:
-            chunks = [(shard_id, dims_arr, rng_arr) for shard_id in pending]
-            results = pool.map_chunks(
-                chunks, cancel_token=self.cancel_token,
-                event_sink=self.event_sink,
+                continue
+            self._check_cancelled()
+            counts = self._serial_group_counts(
+                self._resilient_shard_words(shard_id), dims_arr, rng_arr
             )
-            if pool.is_degraded:
-                logger.warning(
-                    "sharded counting pool degraded beyond repair (%s); "
-                    "remaining batches run serially",
-                    self.health.summary(),
-                )
-                self.close()
-                self._pool_failed = True
-            self.n_parallel_chunks += len(chunks)
-            for shard_id, (counts, words, reuse) in zip(
-                pending, results, strict=True
-            ):
-                counts = np.asarray(counts, dtype=np.int64)
-                self.n_words_and += int(words)
-                self.n_prefix_reuse += int(reuse)
-                total += counts
-                self.n_shards_counted += 1
-                emit_event(
-                    self.event_sink, "shard_counted",
-                    shard=shard_id, action="counted", cubes=n_cubes,
-                )
-                if group is not None:
-                    group.record(shard_id, counts)
-        else:
-            for shard_id in pending:
-                self._check_cancelled()
-                counts = self._serial_group_counts(
-                    self._resilient_shard_words(shard_id), dims_arr, rng_arr
-                )
-                total += counts
-                self.n_shards_counted += 1
-                emit_event(
-                    self.event_sink, "shard_counted",
-                    shard=shard_id, action="counted", cubes=n_cubes,
-                )
-                if group is not None:
-                    group.record(shard_id, counts)
+            total += counts
+            self.n_shards_counted += 1
+            emit_event(
+                self.event_sink, "shard_counted",
+                shard=shard_id, action="counted", cubes=n_cubes,
+            )
+            if group is not None:
+                group.record(shard_id, counts)
         return total
 
     def _count_keys(self, keys: list[tuple]) -> np.ndarray:
@@ -1023,39 +981,6 @@ class ShardedCounter(CubeCounter):
         if self.shard_checkpointer is not None:
             self.shard_checkpointer.clear()
         return counts
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        """The lazy mmap worker pool (no shm copy; see ShardedCountingPool)."""
-        if self._pool is not None:
-            return self._pool
-        if self._pool_failed:
-            return None
-        try:
-            from .parallel import ShardedCountingPool
-
-            self._pool = ShardedCountingPool(
-                self.store,
-                self.backend,
-                self.health,
-                kernel=self._spec.kernel,
-                report=self.resilience,
-                shard_reader=self._resilient_shard_words,
-            )
-        except Exception as exc:  # repro-lint: disable=RPL009
-            logger.warning(
-                "sharded process backend unavailable (%s); falling back to "
-                "serial",
-                exc,
-            )
-            self.health.pool_unavailable = True
-            self._pool_failed = True
-            self._ladder.apply(
-                "counting-pool", self.backend.kind, "serial",
-                f"pool unavailable: {exc}",
-            )
-            return None
-        return self._pool
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:

@@ -461,7 +461,6 @@ class GridModel:
         cells = self.discretizer.fit_transform(
             self._data, feature_names=self.feature_names
         )
-        self.counter.close()
         self.counter = self._counter_factory(cells)
         self._occupancy = np.zeros_like(self._occupancy)
         self._projections = ()
@@ -556,11 +555,6 @@ class GridModel:
         return StreamingReservoir(self._default_sketch_capacity()).update(
             self._data
         )
-
-    def close(self) -> None:
-        """Release the counter's resources (pools, mmaps).  Idempotent."""
-        if self.counter is not None:
-            self.counter.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "serving" if self.is_serving else "full"

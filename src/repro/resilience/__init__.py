@@ -1,11 +1,11 @@
 """Cross-layer robustness: fault injection, retry policy, degradation.
 
-Three pieces, shared by every layer that touches the OS or a pool:
+Three pieces, shared by every layer that touches the OS:
 
 - :mod:`~repro.resilience.faults` — named fault points with
   deterministic, trigger-indexed injection for chaos tests;
-- :mod:`~repro.resilience.retry` — one :class:`RetryPolicy` replacing
-  the ad-hoc retry loops in the counting pools and checkpoint store;
+- :mod:`~repro.resilience.retry` — one :class:`RetryPolicy` for the
+  shard reads and the checkpoint store;
 - :mod:`~repro.resilience.ladder` — explicit downgrade chains
   (kernel → serial, in-memory → out-of-core, shard quarantine) with a
   run-wide :class:`ResilienceReport` surfaced in

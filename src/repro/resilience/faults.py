@@ -1,26 +1,17 @@
 """Deterministic fault injection at named points across the stack.
 
-PR 2 threaded :class:`~repro.core.params.FaultPlan` through the
-counting pool so chaos tests could kill workers reproducibly.  This
-module generalizes the idea: any layer can declare a **fault point** —
-a named seam where a specific failure class can occur — and call
-:func:`maybe_inject` there.  Chaos tests then arm one or more
-:class:`FaultSpec` instances via the :func:`fault_injection` context
-manager; production runs pay a single global ``None`` check.
+This is the library's one fault-injection mechanism.  Any layer can
+declare a **fault point** — a named seam where a specific failure class
+can occur — and call :func:`maybe_inject` there.  Chaos tests then arm
+one or more :class:`FaultSpec` instances via the
+:func:`fault_injection` context manager; production runs pay a single
+global ``None`` check.
 
 Injection is deterministic by construction: each fault point keeps a
 run-wide invocation counter, and a spec fires when that counter reaches
 its ``trigger`` index (and keeps firing for ``times`` invocations).  No
 clocks, no randomness — the same program order yields the same faults,
 which is what lets the chaos suite assert bit-identical recovery.
-
-.. note::
-   Counters live in the :class:`FaultInjector` of the *current
-   process*.  Pool workers forked after the context manager is entered
-   inherit the armed specs but keep independent counters, so pool-side
-   chaos tests should use ``trigger=0`` (fire on first invocation) or
-   ``times=None`` (fire always) rather than relying on a cross-process
-   invocation order.
 """
 
 from __future__ import annotations

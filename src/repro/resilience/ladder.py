@@ -1,8 +1,8 @@
 """Degradation ladder: explicit downgrade chains plus a run-wide report.
 
 When a layer fails repeatedly it should step down to a slower-but-safe
-configuration rather than crash: ``process-native → native → serial``
-kernels, in-memory packed stacks → the out-of-core
+configuration rather than crash: the native kernel → the numpy
+reference kernel, in-memory packed stacks → the out-of-core
 :class:`~repro.grid.sharded.ShardedMaskStore` on :class:`MemoryError`,
 quarantine-plus-rebuild for a corrupted shard.  Every completed
 fallback is bit-identical to the healthy path — the chains only ever
@@ -174,8 +174,8 @@ class DegradationLadder:
 
         Cooperative cancellation is never swallowed — a
         :class:`SearchCancelled` from *primary* propagates unchanged.
-        Everything else (a native kernel segfault surfacing as a pool
-        error, a transient numpy failure) triggers the downgrade: the
+        Everything else (a native kernel that fails to build or
+        raises, a transient numpy failure) triggers the downgrade: the
         step is recorded, ``on_downgrade(exc)`` runs (e.g. to disable
         the broken backend), and *fallback* produces the bit-identical
         result.

@@ -1,8 +1,8 @@
 """A shared retry policy for every transient-failure loop in the stack.
 
-PRs 2/3 each grew their own ad-hoc retry loop (chunk redispatch in
-``grid/parallel.py``, current→prev fallback in ``run/checkpoint.py``).
-This module centralizes the knobs — bounded attempts, exponential
+Every transient-failure loop (shard reads and opens in
+``grid/sharded.py``, current→prev fallback in ``run/checkpoint.py``)
+shares one policy.  This module centralizes the knobs — bounded attempts, exponential
 backoff with a cap, per-class retryability — so all layers degrade the
 same way and chaos tests can reason about one policy.
 

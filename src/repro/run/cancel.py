@@ -6,8 +6,8 @@ cap — so an operator must be able to interrupt a run and get the
 best-so-far results instead of a stack trace.  Cancellation here is
 *cooperative*: a :class:`CancelToken` is a thread-safe flag that signal
 handlers (or tests) flip, and every search loop polls it at its safe
-boundaries (GA generation, brute-force level, counting-pool dispatch
-wave) and exits cleanly.
+boundaries (GA generation, brute-force level, counting chunk or
+shard) and exits cleanly.
 
 :data:`STOP_REASONS` enumerates the structured ``stopped_reason`` every
 :class:`~repro.search.outcome.SearchOutcome` now carries:

@@ -16,11 +16,9 @@ Two enumeration strategies produce identical best sets:
 * ``level_batch`` — the paper's literal breadth-first ``R_{i+1} = R_i ⊕
   Q_1``: every level is evaluated through the counter's batched
   AND/popcount kernel (:meth:`~repro.grid.counter.CubeCounter.
-  count_batch`), which shares the common-prefix ANDs across siblings
-  and, under a ``process`` :class:`~repro.core.params.CountingBackend`,
-  spreads the level across a worker pool.  Candidates are generated and
-  offered in the same lexicographic order the DFS visits, so both
-  strategies return the same projections.
+  count_batch`), which shares the common-prefix ANDs across siblings.
+  Candidates are generated and offered in the same lexicographic order
+  the DFS visits, so both strategies return the same projections.
 
 Cost still explodes combinatorially — that is the paper's point (the
 musk dataset's 160 dimensions defeated their brute-force run entirely)
@@ -52,6 +50,10 @@ from .outcome import SearchOutcome
 __all__ = ["BruteForceSearch", "search_space_size"]
 
 logger = logging.getLogger(__name__)
+
+#: Cubes per ``count_batch`` call in the ``level_batch`` strategy; the
+#: cancellation and budget checks run between these chunks.
+LEVEL_BATCH_CHUNK = 4096
 
 
 def search_space_size(n_dims: int, dimensionality: int, n_ranges: int) -> int:
@@ -409,7 +411,7 @@ class BruteForceSearch(GeneratorEngine):
                 context.emit(type_, **payload)
 
         d, k, phi = counter.n_dims, self.dimensionality, counter.n_ranges
-        chunk = max(1024, counter.backend.chunk_size)
+        chunk = LEVEL_BATCH_CHUNK
         level = start_level if start_level is not None else [((), ())]
         totals = totals or {"elapsed_base": 0.0, "start": time.perf_counter()}
         for depth in range(start_depth, k + 1):

@@ -70,7 +70,7 @@ class EvolutionarySearch(GeneratorEngine):
         Seed or numpy Generator for full determinism.
     cancel_token:
         Optional :class:`~repro.run.cancel.CancelToken`; polled at every
-        generation boundary (and between parallel counting waves), so a
+        generation boundary (and between counting chunks), so a
         flip stops the search at a safe point with best-so-far results.
     checkpointer:
         Optional :class:`~repro.run.checkpoint.SearchCheckpointer`;
@@ -544,9 +544,8 @@ class EvolutionarySearch(GeneratorEngine):
 
         The whole generation is counted in one
         :meth:`~repro.grid.counter.CubeCounter.count_batch` pass —
-        duplicates of a converging population collapse in the batch, and
-        a parallel counting backend fans the distinct cubes out to its
-        worker pool.  Offers happen in population order, so the best-set
+        duplicates of a converging population collapse in the batch.
+        Offers happen in population order, so the best-set
         contents (including tie-breaks) match per-solution scoring.
         """
         fitnesses = []

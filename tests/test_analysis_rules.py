@@ -330,13 +330,24 @@ class TestRPL006BareParallelism:
         )
         assert codes(found) == ["RPL006", "RPL006"]
 
-    def test_dispatcher_module_is_exempt(self):
+    def test_no_module_is_exempt_by_default(self):
         found = lint_text(
             """
             import multiprocessing
             """,
-            path="repro/grid/parallel.py",
+            path="repro/grid/counter.py",
             select=["RPL006"],
+        )
+        assert codes(found) == ["RPL006"]
+
+    def test_configured_module_is_exempt(self):
+        found = lint_text(
+            """
+            import multiprocessing
+            """,
+            path="repro/grid/pool.py",
+            select=["RPL006"],
+            config=LintConfig(parallel_allowed_modules=("repro/grid/pool.py",)),
         )
         assert found == []
 
@@ -537,7 +548,7 @@ class TestRPL009BroadExcept:
         )
         assert found == []
 
-    def test_dispatcher_module_is_exempt(self):
+    def test_grid_layer_is_not_exempt(self):
         found = lint_text(
             """
             def dispatch(task):
@@ -546,10 +557,10 @@ class TestRPL009BroadExcept:
                 except Exception:
                     return None
             """,
-            path="repro/grid/parallel.py",
+            path="repro/grid/counter.py",
             select=["RPL009"],
         )
-        assert found == []
+        assert codes(found) == ["RPL009"]
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The counting-backend registry and its conformance gate.
 
 The registry (:mod:`repro.grid.backends`) is the single source of
-truth for ``--count-backend`` choices, ``CountingBackend.kind``
-validation, and which kernel runs inside pool workers — and no kernel
-may serve counts without passing the differential self-check.  These
+truth for ``--count-backend`` choices and ``CountingBackend.kind``
+validation — and no kernel may serve counts without passing the
+differential self-check.  These
 tests pin that contract:
 
 * unknown names fail loudly *with the menu* (CLI exits 2 listing the
@@ -35,9 +35,14 @@ from repro.grid.backends import (
     verify_kernel,
 )
 from repro.grid.kernels import batch_counts
-from repro.grid.native import available_tiers, forced_tier, native_batch_counts
+from repro.grid.native import (
+    available_tiers,
+    forced_tier,
+    native_batch_counts,
+    resolve_tier,
+)
 
-BUILTIN_BACKENDS = ["native", "process", "process-native", "serial"]
+BUILTIN_BACKENDS = ["native", "serial"]
 
 
 @pytest.fixture
@@ -92,8 +97,7 @@ class TestRegistryMenu:
 
     def test_backend_spec_rejects_empty_name(self):
         with pytest.raises(ValidationError):
-            BackendSpec(name="", kernel="numpy", uses_pool=False,
-                        description="x")
+            BackendSpec(name="", kernel="numpy", description="x")
 
 
 class TestCLIMenu:
@@ -115,6 +119,30 @@ class TestCLIMenu:
         )
         assert code == 0
         assert "Top 3 outliers" in capsys.readouterr().out
+
+
+class TestRemovedBackends:
+    """The worker-pool backends and the numba tier are gone for good:
+    asking for them fails with the current menu, never silently."""
+
+    def test_process_kind_rejected_with_menu(self):
+        with pytest.raises(ValidationError) as exc:
+            CountingBackend(kind="process")  # repro-lint: disable=RPL014
+        assert "['native', 'serial']" in str(exc.value)
+
+    def test_cli_process_backend_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--dataset", "machine", "--count-backend", "process"])
+        assert exc.value.code == 2
+        assert "'native', 'serial'" in capsys.readouterr().err
+
+    def test_numba_tier_rejected(self, monkeypatch):
+        with pytest.raises(ValidationError, match="numba"):
+            with forced_tier("numba"):
+                pass
+        monkeypatch.setenv("REPRO_NATIVE_KERNEL", "numba")
+        with pytest.raises(ValidationError, match="numba"):
+            resolve_tier()
 
 
 class TestConformanceGate:
@@ -146,7 +174,6 @@ class TestConformanceGate:
                 BackendSpec(
                     name="tests-sneaky-backend",
                     kernel="tests-sneaky",
-                    uses_pool=False,
                     description="should never register",
                 )
             )
@@ -158,7 +185,6 @@ class TestConformanceGate:
             BackendSpec(
                 name="tests-clone-backend",
                 kernel="tests-clone",
-                uses_pool=False,
                 description="reference clone",
             )
         )
@@ -176,8 +202,7 @@ class TestConformanceGate:
         with pytest.raises(ValidationError, match="already"):
             register_backend(
                 BackendSpec(
-                    name="serial", kernel="numpy", uses_pool=False,
-                    description="dup",
+                    name="serial", kernel="numpy", description="dup",
                 ),
                 verify=False,
             )
@@ -187,7 +212,7 @@ class TestConformanceGate:
             register_backend(
                 BackendSpec(  # repro-lint: disable=RPL014
                     name="tests-orphan", kernel="no-such-kernel",
-                    uses_pool=False, description="orphan",
+                    description="orphan",
                 )
             )
 
@@ -206,11 +231,8 @@ class TestCounterIntegration:
             CellAssignment(codes, 3),
             backend=CountingBackend(kind="native"),
         )
-        try:
-            info = counter.kernel_info()
-            assert info["backend"] == "native"
-            assert info["kernel"] == "native"
-            assert info["tier"] in available_tiers()
-            assert counter.cache_stats()["kernel"] == "native"
-        finally:
-            counter.close()
+        info = counter.kernel_info()
+        assert info["backend"] == "native"
+        assert info["kernel"] == "native"
+        assert info["tier"] in available_tiers()
+        assert counter.cache_stats()["kernel"] == "native"

@@ -18,8 +18,7 @@ The conformance classes parametrize over the backend registry
 (``repro.grid.backends``), so a newly registered backend is swept
 automatically; the native backend is additionally pinned to each of
 its kernel tiers (compiled and the pure-numpy fallback that runs when
-neither numba nor a C compiler is available), and the pool-wrapped
-native backend is exercised under ``FaultPlan`` chaos.
+no C compiler is available).
 
 The default run sweeps a handful of seeds; ``-m slow`` unlocks the
 deep sweep (more seeds, exhaustive cube enumeration at higher k).
@@ -32,7 +31,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.params import CountingBackend, FaultPlan
+from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.grid.backends import registered_backends
 from repro.grid.counter import CubeCounter
@@ -41,18 +40,6 @@ from repro.grid.native import available_tiers, forced_tier
 from repro.grid.packed_counter import PackedCubeCounter
 
 from conftest import naive_cube_count
-
-PROCESS_BACKEND = CountingBackend(kind="process", n_workers=2, chunk_size=16)
-
-
-def conformance_backend(kind: str) -> CountingBackend | None:
-    """A small-but-real backend config for the conformance sweep."""
-    if kind == "serial":
-        return None  # the default path most of the suite runs under
-    if kind in ("process", "process-native"):
-        return CountingBackend(kind=kind, n_workers=2, chunk_size=16)
-    return CountingBackend(kind=kind)
-
 
 def random_cells(rng, n_points, n_dims, n_ranges, missing=0.0) -> CellAssignment:
     """A random grid assignment, bypassing the discretizer.
@@ -81,23 +68,15 @@ def _check_grid(cells, max_k, backend=None):
     expected = [naive_cube_count(cells.codes, cube) for cube in cubes]
     dense = CubeCounter(cells, backend=backend)
     packed = PackedCubeCounter(cells, backend=backend)
-    try:
-        for cube, want in zip(cubes, expected, strict=True):
-            assert dense.count(cube) == want, cube
-            assert packed.count(cube) == want, cube
-        # Fresh counters for the batch path so the memo cannot mask a
-        # broken kernel by answering from per-cube results.
-        dense_b = CubeCounter(cells, backend=backend)
-        packed_b = PackedCubeCounter(cells, backend=backend)
-        try:
-            assert dense_b.count_batch(cubes).tolist() == expected
-            assert packed_b.count_batch(cubes).tolist() == expected
-        finally:
-            dense_b.close()
-            packed_b.close()
-    finally:
-        dense.close()
-        packed.close()
+    for cube, want in zip(cubes, expected, strict=True):
+        assert dense.count(cube) == want, cube
+        assert packed.count(cube) == want, cube
+    # Fresh counters for the batch path so the memo cannot mask a
+    # broken kernel by answering from per-cube results.
+    dense_b = CubeCounter(cells, backend=backend)
+    packed_b = PackedCubeCounter(cells, backend=backend)
+    assert dense_b.count_batch(cubes).tolist() == expected
+    assert packed_b.count_batch(cubes).tolist() == expected
 
 
 class TestSerialDifferential:
@@ -137,48 +116,9 @@ class TestSerialDifferential:
         cubes = list(all_cubes(5, 3, 2))
         shuffled = [cubes[i] for i in rng.permutation(len(cubes))]
         with_dups = shuffled + shuffled[:10] + [Subspace((), ())]
-        counter = CubeCounter(cells)
-        try:
-            got = counter.count_batch(with_dups).tolist()
-        finally:
-            counter.close()
+        got = CubeCounter(cells).count_batch(with_dups).tolist()
         expected = [naive_cube_count(cells.codes, c) for c in with_dups]
         assert got == expected
-
-
-class TestProcessDifferential:
-    """The process-pool backend must be count-identical to serial."""
-
-    def test_process_backend_matches(self):
-        rng = np.random.default_rng(11)
-        _check_grid(random_cells(rng, 150, 5, 3), max_k=3,
-                    backend=PROCESS_BACKEND)
-
-    def test_process_backend_missing_values(self):
-        rng = np.random.default_rng(12)
-        _check_grid(random_cells(rng, 90, 4, 4, missing=0.15), max_k=3,
-                    backend=PROCESS_BACKEND)
-
-    @pytest.mark.parametrize("n_workers", [1, 2, 3])
-    def test_worker_count_is_irrelevant(self, n_workers):
-        rng = np.random.default_rng(13)
-        cells = random_cells(rng, 100, 4, 3)
-        cubes = list(all_cubes(4, 3, 3))
-        serial = CubeCounter(cells)
-        parallel = CubeCounter(
-            cells,
-            backend=CountingBackend(
-                kind="process", n_workers=n_workers, chunk_size=8
-            ),
-        )
-        try:
-            assert (
-                parallel.count_batch(cubes).tolist()
-                == serial.count_batch(cubes).tolist()
-            )
-        finally:
-            serial.close()
-            parallel.close()
 
 
 class TestBackendConformance:
@@ -192,7 +132,7 @@ class TestBackendConformance:
         _check_grid(
             random_cells(rng, 140, 4, 3),
             max_k=3,
-            backend=conformance_backend(kind),
+            backend=CountingBackend(kind=kind),
         )
 
     @pytest.mark.parametrize("kind", registered_backends())
@@ -201,13 +141,13 @@ class TestBackendConformance:
         _check_grid(
             random_cells(rng, 110, 4, 4, missing=0.2),
             max_k=3,
-            backend=conformance_backend(kind),
+            backend=CountingBackend(kind=kind),
         )
 
     @pytest.mark.parametrize("tier", available_tiers())
     def test_native_every_tier(self, tier):
         # Pin each kernel tier explicitly — in particular 'numpy', the
-        # fallback taken when numba and a C compiler are both absent.
+        # fallback taken when no C compiler is available.
         rng = np.random.default_rng(23)
         with forced_tier(tier):
             _check_grid(
@@ -217,7 +157,7 @@ class TestBackendConformance:
             )
 
     def test_native_fallback_without_numba(self):
-        # The no-numba story: force the pure-numpy tier (always
+        # The no-compiler story: force the pure-numpy tier (always
         # available) and demand exact agreement.
         rng = np.random.default_rng(24)
         with forced_tier("numpy"):
@@ -226,35 +166,6 @@ class TestBackendConformance:
                 max_k=3,
                 backend=CountingBackend(kind="native"),
             )
-
-    @pytest.mark.parametrize(
-        "fault",
-        [
-            FaultPlan(kill_worker_on_chunk=1, trigger_limit=1),
-            FaultPlan(fail_shm_attach_once=True),
-        ],
-        ids=["kill-worker", "shm-attach-fail"],
-    )
-    def test_pool_wrapped_native_under_chaos(self, fault):
-        # The native kernel inside pool workers must survive worker
-        # death and shm-attach failures without corrupting a count.
-        rng = np.random.default_rng(25)
-        cells = random_cells(rng, 120, 4, 3, missing=0.1)
-        cubes = list(all_cubes(4, 3, 3))
-        expected = [naive_cube_count(cells.codes, c) for c in cubes]
-        counter = PackedCubeCounter(
-            cells,
-            backend=CountingBackend(
-                kind="process-native",
-                n_workers=2,
-                chunk_size=8,
-                fault_plan=fault,
-            ),
-        )
-        try:
-            assert counter.count_batch(cubes).tolist() == expected
-        finally:
-            counter.close()
 
 
 @pytest.mark.slow
@@ -271,7 +182,7 @@ class TestDeepSweep:
         _check_grid(random_cells(rng, n, d, phi, missing), max_k=min(4, d))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_process_backend_deep(self, seed):
+    def test_native_backend_deep(self, seed):
         rng = np.random.default_rng(2000 + seed)
         n = int(rng.integers(20, 201))
         d = int(rng.integers(2, 6))
@@ -279,5 +190,5 @@ class TestDeepSweep:
         _check_grid(
             random_cells(rng, n, d, phi, missing=0.1),
             max_k=min(4, d),
-            backend=PROCESS_BACKEND,
+            backend=CountingBackend(kind="native"),
         )

@@ -4,8 +4,7 @@ The event bus and registry are the refactor's new public surface; this
 file covers their contracts directly — vocabulary enforcement, sink
 behavior (in-memory, JSONL trace, composite), registry CRUD including
 plugin engines, the prepare/step/finalize protocol being equivalent to
-``run()``, ``chunk_retry`` emission from the fault-tolerant counting
-pool, and the CLI's ``--trace-file`` / ``--search`` wiring.
+``run()``, and the CLI's ``--trace-file`` / ``--search`` wiring.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.detector import SubspaceOutlierDetector
-from repro.core.params import CountingBackend, FaultPlan
 from repro.engine.context import RunContext
 from repro.engine.events import (
     EVENT_TYPES,
@@ -38,7 +36,6 @@ from repro.engine.registry import (
 )
 from repro.engine.stats import StatsAssemblySink, merge_backend_health
 from repro.exceptions import ValidationError
-from repro.grid.counter import CubeCounter
 from repro.search.evolutionary.config import EvolutionaryConfig
 from repro.search.evolutionary.engine import EvolutionarySearch
 from repro.search.local import RandomSearch
@@ -308,49 +305,6 @@ class TestProtocolDriving:
         assert types[0] == "run_started"
         assert types[-1] == "engine_finished"
         assert sink.of_type("generation_end")
-
-
-# ----------------------------------------------------------------------
-# chunk_retry from the fault-tolerant counting pool
-
-
-class TestChunkRetryEvents:
-    def test_worker_kill_emits_chunk_retry(self):
-        import itertools
-
-        rng = np.random.default_rng(0)
-        from repro.grid.cells import CellAssignment
-
-        codes = rng.integers(0, 3, size=(150, 5), dtype=np.int16)
-        cells = CellAssignment(codes=codes, n_ranges=3)
-        backend = CountingBackend(
-            kind="process",
-            n_workers=2,
-            chunk_size=16,
-            retry_backoff=0.01,
-            fault_plan=FaultPlan(kill_worker_on_chunk=1, trigger_limit=1),
-        )
-        counter = CubeCounter(cells, backend=backend)
-        sink = InMemoryEventSink()
-        from repro.core.subspace import Subspace
-
-        # Distinct cubes (the memo cache dedupes repeats) spanning every
-        # 2-dim pair, enough to fan out to the worker pool.
-        cubes = [
-            Subspace(dims, ranges)
-            for dims in itertools.combinations(range(5), 2)
-            for ranges in itertools.product(range(3), repeat=2)
-        ]
-        try:
-            with counter.runtime_binding(None, sink):
-                counter.count_batch(cubes)
-        finally:
-            counter.close()
-        retries = sink.of_type("chunk_retry")
-        assert retries, "expected at least one chunk_retry event"
-        for event in retries:
-            assert event.payload["action"] in ("retry", "serial_fallback")
-            assert "chunk_id" in event.payload
 
 
 # ----------------------------------------------------------------------

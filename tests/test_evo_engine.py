@@ -229,10 +229,10 @@ class TestBackendDeterminism:
     """Same seed => identical run, whatever the counting backend.
 
     The GA's entire stochastic trajectory depends only on the rng stream
-    and the fitness values; batched and process-pool counting return
-    bit-identical counts (integers) and coefficients (the same float64
-    ops), so the best set AND the per-generation trace must match
-    exactly across backends and worker counts.
+    and the fitness values; every counting kernel returns bit-identical
+    counts (integers) and coefficients (the same float64 ops), so the
+    best set AND the per-generation trace must match exactly across
+    backends.
     """
 
     def _run(self, counter, seed=17):
@@ -258,38 +258,19 @@ class TestBackendDeterminism:
         assert a.stats["evaluations"] == b.stats["evaluations"]
         assert a.history == b.history
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_serial_vs_process(self, small_cells, n_workers):
+    def test_serial_vs_native(self, small_cells):
         serial = CubeCounter(small_cells)
-        parallel = CubeCounter(
-            small_cells,
-            backend=CountingBackend(
-                kind="process", n_workers=n_workers, chunk_size=8
-            ),
-        )
-        try:
-            self._assert_identical(self._run(serial), self._run(parallel))
-        finally:
-            serial.close()
-            parallel.close()
+        native = CubeCounter(small_cells, backend=CountingBackend(kind="native"))
+        self._assert_identical(self._run(serial), self._run(native))
 
-    def test_serial_vs_process_packed(self, small_cells):
+    def test_serial_vs_native_packed(self, small_cells):
         serial = PackedCubeCounter(small_cells)
-        parallel = PackedCubeCounter(
-            small_cells,
-            backend=CountingBackend(kind="process", n_workers=2, chunk_size=8),
+        native = PackedCubeCounter(
+            small_cells, backend=CountingBackend(kind="native")
         )
-        try:
-            self._assert_identical(self._run(serial), self._run(parallel))
-        finally:
-            serial.close()
-            parallel.close()
+        self._assert_identical(self._run(serial), self._run(native))
 
     def test_dense_vs_packed(self, small_cells):
         dense = CubeCounter(small_cells)
         packed = PackedCubeCounter(small_cells)
-        try:
-            self._assert_identical(self._run(dense), self._run(packed))
-        finally:
-            dense.close()
-            packed.close()
+        self._assert_identical(self._run(dense), self._run(packed))

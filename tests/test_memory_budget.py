@@ -74,7 +74,6 @@ try:
         cubes = [Subspace((0,), (r,)) for r in range(phi)]
         cubes += [Subspace((0, d - 1), (r, 0)) for r in range(phi)]
         counts = counter.count_batch(cubes)
-        counter.close()
         # The phi single-range cubes on one dimension partition the
         # (fully observed) rows: their counts must resum to N exactly.
         if int(counts[:phi].sum()) != n:
@@ -87,7 +86,6 @@ try:
             CellAssignment(codes=codes, n_ranges=phi), cache_size=0
         )
         counter.count_batch([Subspace((0,), (r,)) for r in range(phi)])
-        counter.close()
         print("OK")
     else:
         sys.exit(2)

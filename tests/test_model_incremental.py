@@ -117,18 +117,11 @@ class TestInterleavingDifferential:
     def test_counts_bit_identical_under_every_backend(
         self, interleaving, kind, blocks, batch
     ):
-        backend = (
-            None
-            if kind == "serial"
-            else CountingBackend(kind=kind, n_workers=2, chunk_size=16)
-        )
+        backend = CountingBackend(kind=kind)
         factory = lambda cells: PackedCubeCounter(cells, backend=backend)
         model = grow(interleaving, blocks, counter_factory=factory)
         cubes = all_cubes(model.n_dims, PHI)
-        try:
-            grown = model.counter.count_batch(cubes)
-        finally:
-            model.close()
+        grown = model.counter.count_batch(cubes)
         np.testing.assert_array_equal(grown, batch.counter.count_batch(cubes))
 
     @pytest.mark.parametrize("interleaving", INTERLEAVINGS)
@@ -187,15 +180,12 @@ class TestAppendBoundarySweep:
     def check_split(self, make_counter, codes, cubes, reference, split):
         head = CellAssignment(codes=codes[:split], n_ranges=3)
         counter = make_counter(head)
-        try:
-            # Warm the memo on the prefix so append advances cached
-            # counts by popcount deltas rather than recounting.
-            counter.count_batch(cubes)
-            assert counter.append_rows(codes[split:]) == self.N - split
-            np.testing.assert_array_equal(counter.count_batch(cubes), reference)
-            np.testing.assert_array_equal(counter.cells.codes, codes)
-        finally:
-            counter.close()
+        # Warm the memo on the prefix so append advances cached
+        # counts by popcount deltas rather than recounting.
+        counter.count_batch(cubes)
+        assert counter.append_rows(codes[split:]) == self.N - split
+        np.testing.assert_array_equal(counter.count_batch(cubes), reference)
+        np.testing.assert_array_equal(counter.cells.codes, codes)
 
     @pytest.mark.parametrize("split", range(1, N + 1))
     def test_cube_counter_every_boundary(self, codes, cubes, reference, split):

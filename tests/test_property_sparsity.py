@@ -391,12 +391,8 @@ class TestShardMergeIdentity:
             cubes.append(Subspace(dims, rngs))
         memory = PackedCubeCounter(cells, cache_size=0)
         expected = memory.count_batch(cubes).tolist()
-        memory.close()
         with tempfile.TemporaryDirectory() as tmp:
             store = ShardedMaskStore.build(cells, tmp, shard_rows=shard_rows)
             assert store.n_shards == -(-n // shard_rows)
             sharded = ShardedCounter(store, cache_size=0)
-            try:
-                assert sharded.count_batch(cubes).tolist() == expected
-            finally:
-                sharded.close()
+            assert sharded.count_batch(cubes).tolist() == expected

@@ -108,8 +108,8 @@ def test_validation_all_exports_check_dimension_subset():
 
 class TestRpl011ExceptionContract:
     """RPL011 (PR 10) flagged ``RetryPolicy.__post_init__`` raising bare
-    ``ValueError`` on a path reachable from the public
-    ``CountingBackend.retry_policy`` API — breaking the library's
+    ``ValueError`` on a path reachable from the public API (then
+    ``CountingBackend.retry_policy``) — breaking the library's
     promise that deliberate errors derive from ``ReproError``.  The
     raises are now ``ValidationError`` (which still IS-A ``ValueError``,
     so pre-existing callers keep working)."""

@@ -1,4 +1,4 @@
-"""Chaos matrix for ``repro.resilience``: every fault point, both pools.
+"""Chaos matrix for ``repro.resilience``: every fault point.
 
 The failure envelope (docs/resilience.md) makes two promises, and this
 suite checks both for **every registered fault point**:
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core.detector import SubspaceOutlierDetector
-from repro.core.params import CountingBackend
 from repro.engine.events import InMemoryEventSink
 from repro.exceptions import (
     CheckpointError,
@@ -31,7 +30,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.grid.cells import CellAssignment
-from repro.grid.counter import CubeCounter
+from repro.grid.health import LATENCY_BUCKETS
 from repro.grid.sharded import ShardedCounter, ShardedMaskStore
 from repro.resilience import (
     DegradationLadder,
@@ -44,7 +43,6 @@ from repro.resilience import (
 )
 from repro.run.checkpoint import CheckpointStore
 from repro.run.controller import RunController
-from tests.test_backend_faults import all_cubes
 
 N_POINTS, N_DIMS, N_RANGES = 96, 4, 3
 SHARD_ROWS = 24  # -> 4 shards
@@ -93,20 +91,6 @@ def cells() -> CellAssignment:
     rng = np.random.default_rng(3)
     codes = rng.integers(0, N_RANGES, size=(N_POINTS, N_DIMS), dtype=np.int16)
     return CellAssignment(codes=codes, n_ranges=N_RANGES)
-
-
-@pytest.fixture(scope="module")
-def cubes(cells):
-    return all_cubes(cells.n_dims, cells.n_ranges, 2)
-
-
-@pytest.fixture(scope="module")
-def serial_counts(cells, cubes):
-    counter = CubeCounter(cells)
-    try:
-        return counter.count_batch(cubes).tolist()
-    finally:
-        counter.close()
 
 
 # ======================================================================
@@ -209,13 +193,13 @@ class TestReportAndLadder:
         assert not report.degraded
         report.record_retry("shard.read", 2)
         report.record_recovery("shard_read")
-        report.record_degradation("counting-pool", "process", "serial", "x")
+        report.record_degradation("mask-storage", "in-memory", "sharded", "x")
         report.record_quarantine(3, "checksum mismatch")
         snap = report.as_dict()
         assert snap["degraded"] is True
         assert snap["retries"] == {"shard.read": 2}
         assert snap["recoveries"] == {"shard_read": 1}
-        assert snap["ladder"] == {"counting-pool": "serial"}
+        assert snap["ladder"] == {"mask-storage": "sharded"}
         assert snap["quarantines"] == [
             {"shard": 3, "reason": "checksum mismatch"}
         ]
@@ -426,45 +410,6 @@ class TestShardQuarantine:
             store.rebuild_shard(0, other)
 
 
-class TestPoolChaosMatrix:
-    """Both pool types under injected faults: counts stay bit-identical."""
-
-    def test_sharded_pool_survives_shard_read_faults(
-        self, cells, cubes, serial_counts, tmp_path
-    ):
-        store = ShardedMaskStore.build(
-            cells, tmp_path / "store", shard_rows=SHARD_ROWS
-        )
-        backend = CountingBackend(
-            kind="process", n_workers=2, chunk_size=8, retry_backoff=0.01
-        )
-        counter = ShardedCounter(store, cells=cells, backend=backend)
-        try:
-            # trigger=0 so forked workers (independent counters) fire on
-            # their first read; the pool retries and the parent-side
-            # serial path reads through the resilient reader.
-            with fault_injection(FaultSpec("shard_read", times=1)):
-                counts = counter.count_batch(cubes).tolist()
-        finally:
-            counter.close()
-        assert counts == serial_counts
-
-    def test_counting_pool_survives_alloc_fault_via_spill(
-        self, tmp_path, baseline
-    ):
-        backend = CountingBackend(
-            kind="process", n_workers=2, chunk_size=8, retry_backoff=0.01
-        )
-        with fault_injection(FaultSpec("packed_alloc", times=1)):
-            result = run_detect(
-                spill_dir=tmp_path / "spill", counting=backend
-            )
-        assert signature(result) == baseline
-        assert result.stats["resilience"]["ladder"] == {
-            "mask-storage": "sharded"
-        }
-
-
 class TestStatsPlumbing:
     def test_clean_run_reports_not_degraded(self, baseline):
         result = run_detect()
@@ -473,6 +418,25 @@ class TestStatsPlumbing:
         assert resilience["degraded"] is False
         assert resilience["retries"] == {}
         assert resilience["degradations"] == []
+
+    def test_backend_health_keeps_its_shape_at_zero(self):
+        # Counting is in-process, so nothing can degrade a backend; the
+        # record keeps every field for saved results and its readers.
+        result = run_detect(method="evolutionary")
+        health = result.stats["backend_health"]
+        assert health == {
+            "retries": 0, "timeouts": 0, "rebuilds": 0, "fallbacks": 0,
+            "chunks_parallel": 0, "chunks_serial": 0,
+            "pool_degraded": False, "pool_unavailable": False,
+            "chunk_latency": {
+                "count": 0, "total_seconds": 0.0, "max_seconds": 0.0,
+                "buckets": {
+                    **{f"<={edge:g}s": 0 for edge in LATENCY_BUCKETS},
+                    ">30s": 0,
+                },
+            },
+        }
+        assert not result.backend_degraded
 
     def test_spill_dir_with_mmap_dir_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="spill_dir"):

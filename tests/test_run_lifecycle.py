@@ -10,17 +10,14 @@ each parametrized kill lands on a precise, reproducible boundary.
 
 Also covered here: the atomic writers (a crash mid-write never leaves a
 torn file), checkpoint corruption recovery (fall back one boundary to
-``.prev.json``), stale-manifest rejection, signal routing, and the
-counting-pool leak finalizer.
+``.prev.json``), stale-manifest rejection, and signal routing.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import signal
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -28,14 +25,11 @@ import pytest
 from repro._atomic import atomic_write_json, atomic_write_text, atomic_writer
 from repro.core.detector import SubspaceOutlierDetector
 from repro.core.multik import detect_across_dimensionalities
-from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.engine.events import InMemoryEventSink
 from repro.exceptions import CheckpointError, SearchCancelled, ValidationError
 from repro.grid.counter import CubeCounter
-from repro.grid.health import BackendHealth
 from repro.grid.packed_counter import PackedCubeCounter
-from repro.grid.parallel import CountingPool
 from repro.grid.sharded import ShardCheckpointer, ShardedCounter, ShardedMaskStore
 from repro.run.cancel import CancelAfterBoundaries, CancelToken, check_stop_reason
 from repro.run.checkpoint import (
@@ -591,10 +585,7 @@ class TestShardedKillResume:
     @pytest.fixture(scope="class")
     def reference(self, sharded_cells, cubes):
         counter = PackedCubeCounter(sharded_cells)
-        try:
-            return counter.count_batch(cubes).tolist()
-        finally:
-            counter.close()
+        return counter.count_batch(cubes).tolist()
 
     @pytest.mark.parametrize("kill_after", [1, 5, 12])
     def test_kill_and_resume_is_bit_identical(
@@ -605,16 +596,12 @@ class TestShardedKillResume:
         interrupted.set_cancel_token(KillAfterShardChecks(kill_after))
         with pytest.raises(SearchCancelled):
             interrupted.count_batch(cubes)
-        interrupted.close()
         # The in-flight group left its per-shard progress behind.
         assert checkpointer.store.exists(checkpointer.name)
         sink = InMemoryEventSink()
         resumed = ShardedCounter(sharded_store, checkpointer=checkpointer)
         resumed.set_event_sink(sink)
-        try:
-            assert resumed.count_batch(cubes).tolist() == reference
-        finally:
-            resumed.close()
+        assert resumed.count_batch(cubes).tolist() == reference
         # Every checkpointed shard was replayed, never recounted, and
         # the two groups add up to full coverage of the store.
         assert resumed.n_shards_resumed == kill_after
@@ -635,16 +622,12 @@ class TestShardedKillResume:
         interrupted.set_cancel_token(KillAfterShardChecks(4))
         with pytest.raises(SearchCancelled):
             interrupted.count_batch(cubes)
-        interrupted.close()
         # A *different* batch must not replay the stale stream — its
         # digest differs, so everything is recounted from the store.
         other = [Subspace((d,), (0,)) for d in range(6)]
         fresh = ShardedCounter(sharded_store, checkpointer=checkpointer)
-        try:
-            expected = ShardedCounter(sharded_store).count_batch(other)
-            assert fresh.count_batch(other).tolist() == expected.tolist()
-        finally:
-            fresh.close()
+        expected = ShardedCounter(sharded_store).count_batch(other)
+        assert fresh.count_batch(other).tolist() == expected.tolist()
         assert fresh.n_shards_resumed == 0
 
     def test_level_batch_search_kill_resume_over_store(
@@ -655,7 +638,6 @@ class TestShardedKillResume:
         # and lands on the in-memory searcher's exact outcome.
         memory = CubeCounter(sharded_cells)
         reference = outcome_key(bf_search(memory).run())
-        memory.close()
         stream = SearchCheckpointer(CheckpointStore(tmp_path), "bf")
         token = CancelAfterBoundaries(1)
         interrupted_counter = ShardedCounter(
@@ -664,7 +646,6 @@ class TestShardedKillResume:
         interrupted = bf_search(
             interrupted_counter, cancel_token=token, checkpointer=stream
         ).run()
-        interrupted_counter.close()
         assert interrupted.stopped_reason == "cancelled"
         resumed_counter = ShardedCounter(
             sharded_store, checkpointer=ShardCheckpointer(CheckpointStore(tmp_path))
@@ -672,7 +653,6 @@ class TestShardedKillResume:
         resumed = bf_search(resumed_counter, checkpointer=stream).run(
             resume_from=True
         )
-        resumed_counter.close()
         assert outcome_key(resumed) == reference
 
 
@@ -725,28 +705,3 @@ class TestShardedDetectorLifecycle:
         assert result_key(resumed) == reference
         assert not resumed.cancelled
         assert (mmap_dir / "shard_00000.bin").stat().st_mtime_ns == mtime
-
-
-# ----------------------------------------------------------------------
-class TestPoolFinalizer:
-    def test_dropped_pool_is_reclaimed(self, small_cells):
-        counter = CubeCounter(small_cells)
-        stack = counter._stack
-        backend = CountingBackend(kind="process", n_workers=2)
-        pool = CountingPool(stack, False, backend, BackendHealth())
-        shm_name = pool._shm.name
-        finalizer = pool._finalizer
-        assert finalizer.alive
-        del pool  # owner forgot close(); the finalizer must reclaim
-        gc.collect()
-        assert not finalizer.alive
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=shm_name)
-
-    def test_closed_pool_detaches_finalizer(self, small_cells):
-        counter = CubeCounter(small_cells)
-        backend = CountingBackend(kind="process", n_workers=2)
-        pool = CountingPool(counter._stack, False, backend, BackendHealth())
-        finalizer = pool._finalizer
-        pool.close()
-        assert not finalizer.alive

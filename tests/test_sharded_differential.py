@@ -6,7 +6,7 @@ reproduce the in-memory counters' numbers exactly — for every registered
 backend, every native kernel tier, ragged final shards, duplicate and
 prefix-sharing cubes, and missing values.  This suite pins that contract
 plus the store's integrity envelope (atomic build, reuse, tamper
-rejection) and the mmap worker pool's fault tolerance.
+rejection).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.params import CountingBackend, FaultPlan
+from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.exceptions import ValidationError
 from repro.grid.cells import CellAssignment
@@ -75,10 +75,7 @@ def cubes(cells):
 @pytest.fixture(scope="module")
 def reference_counts(cells, cubes):
     counter = PackedCubeCounter(cells)
-    try:
-        return counter.count_batch(cubes).tolist()
-    finally:
-        counter.close()
+    return counter.count_batch(cubes).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -227,30 +224,20 @@ class TestStoreIntegrity:
 class TestShardedDifferential:
     """Shard-merged counts == in-memory counts, on every backend."""
 
-    @pytest.mark.parametrize(
-        "kind", ["serial", "native", "process", "process-native"]
-    )
+    @pytest.mark.parametrize("kind", ["serial", "native"])
     def test_count_batch_matches_in_memory(
         self, store, cells, cubes, reference_counts, kind
     ):
-        counter = ShardedCounter(
-            store, backend=CountingBackend(kind=kind, n_workers=2)
-        )
-        try:
-            assert counter.count_batch(cubes).tolist() == reference_counts
-        finally:
-            counter.close()
+        counter = ShardedCounter(store, backend=CountingBackend(kind=kind))
+        assert counter.count_batch(cubes).tolist() == reference_counts
 
     def test_every_native_tier_matches(self, store, cubes, reference_counts):
         for tier in available_tiers():
             counter = ShardedCounter(
                 store, backend=CountingBackend(kind="native"), cache_size=0
             )
-            try:
-                with forced_tier(tier):
-                    got = counter.count_batch(cubes).tolist()
-            finally:
-                counter.close()
+            with forced_tier(tier):
+                got = counter.count_batch(cubes).tolist()
             assert got == reference_counts, tier
 
     def test_single_cube_paths_match(self, store, cells):
@@ -262,37 +249,28 @@ class TestShardedDifferential:
             Subspace((1, 3), (0, 2)),
             Subspace((0, 2, 4), (2, 1, 0)),
         ]
-        try:
-            for subspace in probes:
-                assert sharded.count(subspace) == memory.count(subspace)
-                np.testing.assert_array_equal(
-                    sharded.mask(subspace), memory.mask(subspace)
-                )
-                np.testing.assert_array_equal(
-                    sharded.covered_points(subspace),
-                    memory.covered_points(subspace),
-                )
-                assert sharded.fraction(subspace) == memory.fraction(subspace)
-        finally:
-            memory.close()
-            sharded.close()
+        for subspace in probes:
+            assert sharded.count(subspace) == memory.count(subspace)
+            np.testing.assert_array_equal(
+                sharded.mask(subspace), memory.mask(subspace)
+            )
+            np.testing.assert_array_equal(
+                sharded.covered_points(subspace),
+                memory.covered_points(subspace),
+            )
+            assert sharded.fraction(subspace) == memory.fraction(subspace)
 
     def test_extension_counts_need_cells(self, store, cells):
         with_cells = ShardedCounter(store, cells=cells)
         without = ShardedCounter(store)
         memory = PackedCubeCounter(cells)
         base = memory.mask(Subspace((0,), (1,)))
-        try:
-            np.testing.assert_array_equal(
-                with_cells.extension_counts(base, 2),
-                memory.extension_counts(base, 2),
-            )
-            with pytest.raises(ValidationError, match="cells"):
-                without.extension_counts(base, 2)
-        finally:
-            with_cells.close()
-            without.close()
-            memory.close()
+        np.testing.assert_array_equal(
+            with_cells.extension_counts(base, 2),
+            memory.extension_counts(base, 2),
+        )
+        with pytest.raises(ValidationError, match="cells"):
+            without.extension_counts(base, 2)
 
     def test_single_shard_store_matches(self, cells, cubes, reference_counts, tmp_path):
         # shard_rows >= N: the degenerate one-shard store must behave
@@ -300,10 +278,7 @@ class TestShardedDifferential:
         one = ShardedMaskStore.build(cells, tmp_path, shard_rows=1 << 20)
         assert one.n_shards == 1
         counter = ShardedCounter(one)
-        try:
-            assert counter.count_batch(cubes).tolist() == reference_counts
-        finally:
-            counter.close()
+        assert counter.count_batch(cubes).tolist() == reference_counts
 
     def test_counter_validation(self, store, cells):
         with pytest.raises(ValidationError, match="ShardedMaskStore"):
@@ -316,64 +291,11 @@ class TestShardedDifferential:
 
     def test_memory_and_stats_accounting(self, store, cubes):
         counter = ShardedCounter(store)
-        try:
-            counter.count_batch(cubes[:30])
-            stats = counter.cache_stats()
-        finally:
-            counter.close()
+        counter.count_batch(cubes[:30])
+        stats = counter.cache_stats()
         assert counter.mask_memory_bytes() == 0
         assert stats["n_shards"] == store.n_shards
         assert stats["shard_rows"] == SHARD_ROWS
         assert stats["store_bytes"] == store.nbytes_on_disk()
         assert stats["shards_counted"] > 0
         assert stats["shards_resumed"] == 0
-
-
-# ----------------------------------------------------------------------
-class TestShardedPoolChaos:
-    """The mmap worker pool under injected faults: counts never change."""
-
-    def run_sharded(self, store, cubes, **backend_kwargs):
-        backend_kwargs.setdefault("kind", "process")
-        backend_kwargs.setdefault("n_workers", 2)
-        backend_kwargs.setdefault("retry_backoff", 0.01)
-        counter = ShardedCounter(store, backend=CountingBackend(**backend_kwargs))
-        try:
-            counts = counter.count_batch(cubes).tolist()
-            return counts, counter.backend_health()
-        finally:
-            counter.close()
-
-    def test_worker_kill_recovers_bit_identical(
-        self, store, cubes, reference_counts
-    ):
-        counts, health = self.run_sharded(
-            store, cubes, fault_plan=FaultPlan(kill_worker_on_chunk=1)
-        )
-        assert counts == reference_counts
-        assert health["retries"] >= 1
-        assert health["fallbacks"] >= 1
-        assert health["chunks_serial"] >= 1
-
-    def test_store_open_failure_rebuilds_then_recovers(
-        self, store, cubes, reference_counts
-    ):
-        counts, health = self.run_sharded(
-            store, cubes, fault_plan=FaultPlan(fail_shm_attach_once=True)
-        )
-        assert counts == reference_counts
-        assert health["rebuilds"] >= 1
-        assert health["fallbacks"] == 0
-        assert health["chunks_parallel"] > 0
-
-    def test_rebuild_exhaustion_degrades_to_serial(
-        self, store, cubes, reference_counts
-    ):
-        counts, health = self.run_sharded(
-            store, cubes,
-            fault_plan=FaultPlan(kill_worker_on_chunk=0),
-            max_rebuilds=0,
-        )
-        assert counts == reference_counts
-        assert health["pool_degraded"]
-        assert health["chunks_serial"] >= 1
