@@ -16,10 +16,12 @@ cheap:
   brute-force level) in one pass: duplicates are folded through the
   memo, the distinct cubes are resolved by a prefix-sharing batch
   kernel (siblings reuse the AND of their common prefix);
+* :meth:`count_extended` counts the candidates of one optimized
+  crossover step — one shared partial cube plus a few genes each —
+  ANDing the shared cube's masks once for the whole step;
 * :meth:`extension_counts` returns the counts for **all φ extensions**
   of a partial cube along one dimension in a single ``bincount`` — the
-  inner loop of the depth-first brute-force enumeration and the
-  optimized crossover's greedy stage.
+  inner loop of the depth-first brute-force enumeration.
 
 The batch kernel itself is pluggable: the counter resolves its
 :class:`~repro.core.params.CountingBackend` through the backend
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import logging
 import time
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 
@@ -47,7 +50,7 @@ from ..resilience.ladder import DegradationLadder, ResilienceReport
 from .backends import get_backend, resolve_kernel
 from .cells import CellAssignment, MISSING_CELL
 from .health import BackendHealth
-from .kernels import batch_counts
+from .kernels import batch_counts, shared_base_counts
 
 __all__ = ["CubeCounter", "batch_counts"]
 
@@ -57,6 +60,29 @@ logger = logging.getLogger(__name__)
 #: this many words (bools for the dense counter, uint64 for the packed
 #: one) — bounds peak memory without changing any count.
 _MAX_ACC_WORDS = 1 << 26
+
+
+def _insert_genes(key: tuple, genes, n_dims: int, n_ranges: int) -> tuple:
+    """*key* with each ``(dim, range)`` gene inserted in dimension order.
+
+    Raises :class:`~repro.exceptions.ValidationError` for a gene outside
+    the ``n_dims × n_ranges`` grid or on a dimension the cube already
+    fixes.
+    """
+    dims, ranges = key
+    for dim, rng in genes:
+        if not 0 <= dim < n_dims:
+            raise ValidationError(
+                f"cube uses dimension {dim} but data has {n_dims} dimensions"
+            )
+        if not 0 <= rng < n_ranges:
+            raise ValidationError(f"cube range {rng} out of bounds for φ={n_ranges}")
+        at = bisect_left(dims, dim)
+        if at < len(dims) and dims[at] == dim:
+            raise ValidationError(f"dimension {dim} is fixed twice in one cube")
+        dims = dims[:at] + (dim,) + dims[at:]
+        ranges = ranges[:at] + (rng,) + ranges[at:]
+    return dims, ranges
 
 
 class CubeCounter:
@@ -272,6 +298,72 @@ class CubeCounter:
             out[missed] = counts[slot[missed]]
         self.batch_seconds += time.perf_counter() - t0
         return out
+
+    def count_extended(self, base: tuple, extensions) -> np.ndarray:
+        """``n(D)`` of ``base ∪ ext`` for each extension of one partial cube.
+
+        *base* is a ``(dims, ranges)`` cube key, as on
+        :class:`~repro.core.subspace.Subspace`; each extension is a
+        tuple of ``(dim, range)`` genes on dimensions outside the base.
+        One optimized-crossover step scores all its candidates this
+        way: when some candidate misses the memo, the base's masks are
+        ANDed once and each miss costs one AND per extension gene plus
+        a popcount.
+
+        The memo sees exactly what one :meth:`count` per cube in input
+        order would: the same lookups, LRU order, inserted keys,
+        ``count_calls`` and ``cache_hits``.  Returns an ``int64`` array
+        aligned with *extensions*.
+        """
+        base_dims, base_ranges = base
+        if len(base_dims) != len(base_ranges):
+            raise ValidationError(
+                f"base dims {base_dims} and ranges {base_ranges} differ in length"
+            )
+        n_dims, n_ranges = self.n_dims, self.n_ranges
+        base = _insert_genes(((), ()), zip(base_dims, base_ranges), n_dims, n_ranges)
+        extensions = list(extensions)
+        keys = [_insert_genes(base, ext, n_dims, n_ranges) for ext in extensions]
+        self.n_count_calls += len(keys)
+        cache = self._cache
+        if cache is None:
+            if not keys:
+                return np.empty(0, dtype=np.int64)
+            return self._count_extensions(base, extensions)
+        # Read-only pass: the counts known now, and the distinct keys
+        # to compute.  Nothing is mutated before the counts exist.
+        known: dict[tuple, int | None] = {}
+        todo: list[int] = []
+        for i, key in enumerate(keys):
+            if key not in known:
+                value = known[key] = cache.get(key)
+                if value is None:
+                    todo.append(i)
+        if todo:
+            counts = self._count_extensions(base, [extensions[i] for i in todo])
+            for i, cnt in zip(todo, counts, strict=True):
+                known[keys[i]] = int(cnt)
+        # Replay count()'s memo updates in input order.  A key evicted
+        # by an earlier miss of this call re-inserts its known count.
+        out = np.empty(len(keys), dtype=np.int64)
+        for i, key in enumerate(keys):
+            value = cache.get(key)
+            if value is not None:
+                self.n_cache_hits += 1
+                cache.move_to_end(key)
+            else:
+                value = known[key]
+                cache[key] = value
+                if len(cache) > self.cache_size:
+                    cache.popitem(last=False)
+            out[i] = value
+        return out
+
+    def _count_extensions(self, base: tuple, extensions: list) -> np.ndarray:
+        """Uncached counts of ``base ∪ ext`` (memo handled by the caller)."""
+        return shared_base_counts(
+            self._stack, base, extensions, self.n_points, self._packed_stack
+        )
 
     def _count_keys(self, keys: list[tuple]) -> np.ndarray:
         """Counts for distinct ``(dims, ranges)`` keys, grouped by k."""

@@ -12,7 +12,9 @@ arrays naming one same-k batch of cubes, and ``counts`` is the exact
 (``words_and``) and prefix sharing (``prefix_reuse``).
 
 This module holds the vectorized numpy reference kernel
-(:func:`batch_counts`, the PR-1 prefix-sharing AND/popcount engine);
+(:func:`batch_counts`, the prefix-sharing AND/popcount engine) and
+:func:`shared_base_counts`, which counts the extensions of one partial
+cube against its AND computed once (the optimized crossover's step);
 the compiled tiers live in :mod:`repro.grid.native` and are registered
 against this reference by :mod:`repro.grid.backends`, which proves any
 kernel bit-identical on a differential fixture before it may serve
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["batch_counts"]
+__all__ = ["batch_counts", "shared_base_counts"]
 
 
 def _resolve_batch_masks(
@@ -108,5 +110,60 @@ def batch_counts(
     if packed:
         counts = np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
     else:
-        counts = acc.sum(axis=1, dtype=np.int64)
+        counts = _bool_row_counts(acc)
     return counts, stats
+
+
+def _bool_row_counts(acc: np.ndarray) -> np.ndarray:
+    """Row sums of a ``(B, W)`` bool array, popcounting eight bytes a word.
+
+    A bool byte is 0 or 1, so the popcount of a uint64 view of eight
+    of them is their sum; the ``W % 8`` tail columns are summed apart.
+    """
+    width = acc.shape[1]
+    whole = width - width % 8
+    counts = np.bitwise_count(acc[:, :whole].view(np.uint64)).sum(
+        axis=1, dtype=np.int64
+    )
+    if whole < width:
+        counts += acc[:, whole:].sum(axis=1, dtype=np.int64)
+    return counts
+
+
+def shared_base_counts(
+    stack: np.ndarray,
+    base: tuple,
+    extensions,
+    n_rows: int,
+    packed: bool,
+) -> np.ndarray:
+    """Counts of ``base ∪ ext`` for each extension over a mask ``stack``.
+
+    ``base`` is a ``(dims, ranges)`` cube key and each extension a
+    tuple of ``(dim, range)`` genes outside it.  The base masks are
+    ANDed once; each extension then costs one AND per gene and one
+    popcount (``bitwise_count`` on uint64 words, ``count_nonzero`` on
+    bools).  ``n_rows`` is the count of the empty cube.
+    """
+    dims, ranges = base
+    shared = None
+    if dims:
+        shared = stack[dims[0], ranges[0]].copy()
+        for dim, rng in zip(dims[1:], ranges[1:], strict=True):
+            np.bitwise_and(shared, stack[dim, rng], out=shared)
+    scratch = np.empty(stack.shape[2], dtype=stack.dtype)
+    counts = np.empty(len(extensions), dtype=np.int64)
+    for i, extension in enumerate(extensions):
+        acc = shared
+        for dim, rng in extension:
+            if acc is None:
+                acc = stack[dim, rng]
+            else:
+                acc = np.bitwise_and(acc, stack[dim, rng], out=scratch)
+        if acc is None:
+            counts[i] = n_rows
+        elif packed:
+            counts[i] = int(np.bitwise_count(acc).sum())
+        else:
+            counts[i] = np.count_nonzero(acc)
+    return counts

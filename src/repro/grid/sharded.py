@@ -58,6 +58,7 @@ from ..resilience.retry import RetryPolicy
 from ..run.checkpoint import CheckpointStore
 from .cells import CellAssignment
 from .counter import CubeCounter
+from .kernels import shared_base_counts
 from .packed_counter import pack_codes_block
 
 __all__ = [
@@ -705,10 +706,10 @@ class ShardedCounter(CubeCounter):
     cells:
         Optional in-memory :class:`~repro.grid.cells.CellAssignment`
         matching the store.  When provided, the code-dependent paths
-        (:meth:`extension_counts`, used by depth-first brute force and
-        the optimized crossover) work exactly as on the in-memory
-        counters; a pure out-of-core counter (``cells=None``) supports
-        every mask-based path and raises a clear error for those two.
+        (:meth:`extension_counts`, used by depth-first brute force, and
+        :meth:`append_rows`) work exactly as on the in-memory counters;
+        a pure out-of-core counter (``cells=None``) supports every
+        mask-based path and raises a clear error for those two.
     cache_size, backend:
         As on :class:`~repro.grid.counter.CubeCounter`.
     checkpointer:
@@ -884,14 +885,25 @@ class ShardedCounter(CubeCounter):
             total += int(np.bitwise_count(self._shard_cube(index, subspace)).sum())
         return total
 
+    def _count_extensions(self, base: tuple, extensions: list) -> np.ndarray:
+        """Per-shard shared-base counts, summed across shards."""
+        total = np.zeros(len(extensions), dtype=np.int64)
+        for index in range(self.store.n_shards):
+            start, stop = self.store.shard_bounds(index)
+            total += shared_base_counts(
+                self._resilient_shard_words(index), base, extensions,
+                stop - start, packed=True,
+            )
+        return total
+
     def extension_counts(self, base_mask: np.ndarray, dim: int) -> np.ndarray:
         if self.cells is None:
             raise ValidationError(
                 "extension_counts needs per-point grid codes, which a "
                 "pure out-of-core ShardedCounter does not hold; construct "
                 "it with cells=..., or use an engine that only counts "
-                "cubes (evolutionary with one-point/uniform crossover, "
-                "brute_force strategy='level_batch', random search)"
+                "cubes (evolutionary, brute_force strategy='level_batch', "
+                "random search)"
             )
         return super().extension_counts(base_mask, dim)
 

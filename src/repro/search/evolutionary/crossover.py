@@ -30,6 +30,8 @@ from __future__ import annotations
 import abc
 from itertools import product
 
+import numpy as np
+
 from ..._validation import check_positive_int, check_rng
 from ...exceptions import ValidationError
 from .encoding import Solution, WILDCARD_GENE
@@ -232,38 +234,38 @@ class OptimizedCrossover(CrossoverOperator):
         return tuple(merged[pos] for pos in type2)
 
     def _exact_type2(self, parent_a, parent_b, type2, free, evaluator):
-        """Exhaustive 2^|free| search for the best partial cube."""
-        n_dims = parent_a.n_dims
-        best_fitness = float("inf")
-        best_choice: dict[int, int] = {}
-        for bits in product((0, 1), repeat=len(free)):
-            genes = [WILDCARD_GENE] * n_dims
-            for pos in type2:
-                genes[pos] = parent_a.genes[pos]
-            for pos, src in zip(free, bits, strict=True):
-                genes[pos] = (parent_b if src else parent_a).genes[pos]
-            fitness = evaluator.partial_fitness(Solution(genes))
-            if fitness < best_fitness:
-                best_fitness = fitness
-                best_choice = dict(zip(free, bits, strict=True))
-        return best_choice
+        """Exhaustive 2^|free| search for the best partial cube.
+
+        The forced positions form the shared base; each bit pattern
+        over the free positions is one candidate, scored in one step.
+        """
+        free_set = set(free)
+        base = _cube_key(
+            (pos, parent_a.genes[pos]) for pos in type2 if pos not in free_set
+        )
+        patterns = list(product((0, 1), repeat=len(free)))
+        extensions = [
+            tuple(
+                (pos, (parent_b if src else parent_a).genes[pos])
+                for pos, src in zip(free, bits, strict=True)
+            )
+            for bits in patterns
+        ]
+        best = int(np.argmin(evaluator.extended_fitness(base, extensions)))
+        return dict(zip(free, patterns[best], strict=True))
 
     def _greedy_type2(self, parent_a, parent_b, type2, free, evaluator):
         """Fallback for oversized k': fix free positions one at a time."""
-        n_dims = parent_a.n_dims
-        genes = [WILDCARD_GENE] * n_dims
-        for pos in type2:
-            if pos not in set(free):
-                genes[pos] = parent_a.genes[pos]
+        free_set = set(free)
+        fixed = [(pos, parent_a.genes[pos]) for pos in type2 if pos not in free_set]
         choice: dict[int, int] = {}
         for pos in free:
-            best_src, best_fitness = 0, float("inf")
-            for src in (0, 1):
-                genes[pos] = (parent_b if src else parent_a).genes[pos]
-                fitness = evaluator.partial_fitness(Solution(genes))
-                if fitness < best_fitness:
-                    best_fitness, best_src = fitness, src
-            genes[pos] = (parent_b if best_src else parent_a).genes[pos]
+            values = (parent_a.genes[pos], parent_b.genes[pos])
+            fitness = evaluator.extended_fitness(
+                _cube_key(fixed), [((pos, value),) for value in values]
+            )
+            best_src = int(np.argmin(fitness))
+            fixed.append((pos, values[best_src]))
             choice[pos] = best_src
         return choice
 
@@ -271,24 +273,28 @@ class OptimizedCrossover(CrossoverOperator):
     def _greedy_extension(genes, candidates, n_to_add, evaluator):
         """Greedy Type III stage: repeatedly add the best (pos, value).
 
-        *genes* is the partial child (mutated-free copy); *candidates*
-        are ``(position, value, source_parent)`` triples; exactly
-        *n_to_add* of them are chosen.
+        *genes* is the partial child (left unmodified); *candidates* are
+        ``(position, value, source_parent)`` triples; exactly *n_to_add*
+        of them are chosen.  Each step scores every remaining candidate
+        as a one-gene extension of the cube built so far.
         """
         if n_to_add <= 0:
             return []
         chosen = []
-        working = list(genes)
+        fixed = [(pos, value) for pos, value in enumerate(genes) if value != WILDCARD_GENE]
         available = list(candidates)
         for _ in range(n_to_add):
-            best_idx, best_fitness = -1, float("inf")
-            for idx, (pos, value, _src) in enumerate(available):
-                working[pos] = value
-                fitness = evaluator.partial_fitness(Solution(working))
-                working[pos] = WILDCARD_GENE
-                if fitness < best_fitness:
-                    best_fitness, best_idx = fitness, idx
-            pos, value, src = available.pop(best_idx)
-            working[pos] = value
+            fitness = evaluator.extended_fitness(
+                _cube_key(fixed), [((pos, value),) for pos, value, _src in available]
+            )
+            pos, value, src = available.pop(int(np.argmin(fitness)))
+            fixed.append((pos, value))
             chosen.append((pos, value, src))
         return chosen
+
+
+def _cube_key(pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(dims, ranges)`` key of ``(position, value)`` genes, dims ascending."""
+    items = sorted(pairs)
+    return tuple(pos for pos, _ in items), tuple(value for _, value in items)
+

@@ -17,6 +17,8 @@ partials of equal dimensionality, so its greedy choices are sound.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ...core.results import ScoredProjection
 from ...exceptions import ValidationError
 from ...grid.counter import CubeCounter
@@ -66,10 +68,12 @@ class FitnessEvaluator:
         return self.partial_fitness(solution)
 
     def partial_fitness(self, solution: Solution) -> float:
-        """Coefficient at the string's *own* dimensionality (crossover use).
+        """Coefficient at the string's *own* dimensionality.
 
         The 0-dimensional all-wildcard string scores 0 (it is the whole
-        dataset; neither sparse nor dense).
+        dataset; neither sparse nor dense).  The optimized crossover
+        scores its partial candidates the same way, a step at a time,
+        through :meth:`extended_fitness`.
         """
         k = solution.dimensionality
         if k == 0:
@@ -78,6 +82,32 @@ class FitnessEvaluator:
         count = self.counter.count(solution.to_subspace())
         return sparsity_coefficient(
             count, self.counter.n_points, self.counter.n_ranges, k
+        )
+
+    def extended_fitness(self, base: tuple, extensions: list) -> np.ndarray:
+        """:meth:`partial_fitness` of ``base ∪ ext`` for every extension.
+
+        One optimized-crossover step: *base* is the ``(dims, ranges)``
+        key of the shared partial cube and each extension a tuple of
+        ``(dim, range)`` genes, all of one length, so every candidate
+        has the same dimensionality.  Counted with one
+        :meth:`~repro.grid.counter.CubeCounter.count_extended` call and
+        scored with the vectorized Equation 1; entry ``i`` equals
+        ``partial_fitness`` of candidate ``i``, bit for bit, and the
+        evaluation count advances by one per candidate.
+        """
+        lengths = {len(extension) for extension in extensions}
+        if len(lengths) > 1:
+            raise ValidationError(
+                f"extensions of one step must add equally many genes, got {lengths}"
+            )
+        k = len(base[0]) + (lengths.pop() if lengths else 0)
+        if k == 0:
+            return np.zeros(len(extensions))
+        self.n_evaluations += len(extensions)
+        counts = self.counter.count_extended(base, extensions)
+        return sparsity_coefficients(
+            counts, self.counter.n_points, self.counter.n_ranges, k
         )
 
     def score(self, solution: Solution) -> ScoredProjection | None:

@@ -35,6 +35,7 @@ from repro.core.params import CountingBackend
 from repro.core.subspace import Subspace
 from repro.grid.backends import registered_backends
 from repro.grid.counter import CubeCounter
+from repro.grid.kernels import batch_counts
 from repro.grid.discretizer import CellAssignment
 from repro.grid.native import available_tiers, forced_tier
 from repro.grid.packed_counter import PackedCubeCounter
@@ -119,6 +120,35 @@ class TestSerialDifferential:
         got = CubeCounter(cells).count_batch(with_dups).tolist()
         expected = [naive_cube_count(cells.codes, c) for c in with_dups]
         assert got == expected
+
+
+class TestBoolWordPopcount:
+    """The reference kernel popcounts bool rows eight bytes at a time.
+
+    Widths around the 8-byte word boundary (and a ragged 1003) must
+    give the plain per-row sum, for flat and prefix-sharing batches.
+    """
+
+    @pytest.mark.parametrize("n_points", [1, 7, 8, 9, 63, 64, 1003])
+    def test_matches_plain_sum(self, n_points):
+        rng = np.random.default_rng(n_points)
+        stack = rng.random((4, 3, n_points)) < 0.6
+        for k in (1, 2, 3):
+            dims = np.array(
+                [np.sort(rng.choice(4, size=k, replace=False)) for _ in range(40)]
+            )
+            ranges = rng.integers(0, 3, size=(40, k))
+            # Half the batch repeats the other half's prefixes, so the
+            # prefix-sharing branch runs alongside the flat one.
+            dims[20:, :-1] = dims[:20, :-1]
+            ranges[20:, :-1] = ranges[:20, :-1]
+            acc = np.logical_and.reduce(
+                [stack[dims[:, j], ranges[:, j]] for j in range(k)]
+            )
+            want = acc.sum(axis=1)
+            counts, _ = batch_counts(stack, dims, ranges, False)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == want.tolist()
 
 
 class TestBackendConformance:

@@ -1,11 +1,15 @@
 """Tests for the crossover operators (Figure 5)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.grid.cells import CellAssignment
 from repro.grid.counter import CubeCounter
+from repro.grid.packed_counter import PackedCubeCounter
+from repro.grid.sharded import ShardedCounter, ShardedMaskStore
 from repro.search.evolutionary.crossover import (
     OptimizedCrossover,
     TwoPointCrossover,
@@ -214,3 +218,183 @@ def test_property_optimized_children_feasible_and_complementary(
     assert c2.is_feasible(k)
     for i in range(8):
         assert {c1.genes[i], c2.genes[i]} == {s1.genes[i], s2.genes[i]}
+
+
+class PerCubeCrossover(OptimizedCrossover):
+    """Figure 5 scored one candidate at a time (the differential oracle).
+
+    Every candidate partial cube becomes a ``Solution`` scored through
+    ``partial_fitness``, and a strict ``<`` keeps the first best; the
+    operator under test scores each step through one shared-base
+    counter call and takes the first ``argmin``.
+    """
+
+    def _exact_type2(self, parent_a, parent_b, type2, free, evaluator):
+        best_fitness = float("inf")
+        best_choice = {}
+        for bits in itertools.product((0, 1), repeat=len(free)):
+            genes = [WILDCARD_GENE] * parent_a.n_dims
+            for pos in type2:
+                genes[pos] = parent_a.genes[pos]
+            for pos, src in zip(free, bits, strict=True):
+                genes[pos] = (parent_b if src else parent_a).genes[pos]
+            fitness = evaluator.partial_fitness(Solution(genes))
+            if fitness < best_fitness:
+                best_fitness = fitness
+                best_choice = dict(zip(free, bits, strict=True))
+        return best_choice
+
+    def _greedy_type2(self, parent_a, parent_b, type2, free, evaluator):
+        genes = [WILDCARD_GENE] * parent_a.n_dims
+        for pos in type2:
+            if pos not in free:
+                genes[pos] = parent_a.genes[pos]
+        choice = {}
+        for pos in free:
+            best_src, best_fitness = 0, float("inf")
+            for src in (0, 1):
+                genes[pos] = (parent_b if src else parent_a).genes[pos]
+                fitness = evaluator.partial_fitness(Solution(genes))
+                if fitness < best_fitness:
+                    best_fitness, best_src = fitness, src
+            genes[pos] = (parent_b if best_src else parent_a).genes[pos]
+            choice[pos] = best_src
+        return choice
+
+    @staticmethod
+    def _greedy_extension(genes, candidates, n_to_add, evaluator):
+        if n_to_add <= 0:
+            return []
+        chosen = []
+        working = list(genes)
+        available = list(candidates)
+        for _ in range(n_to_add):
+            best_idx, best_fitness = -1, float("inf")
+            for idx, (pos, value, _src) in enumerate(available):
+                working[pos] = value
+                fitness = evaluator.partial_fitness(Solution(working))
+                working[pos] = WILDCARD_GENE
+                if fitness < best_fitness:
+                    best_fitness, best_idx = fitness, idx
+            pos, value, src = available.pop(best_idx)
+            working[pos] = value
+            chosen.append((pos, value, src))
+        return chosen
+
+
+N_GENES, PHI = 7, 3
+
+
+def differential_grids():
+    rng = np.random.default_rng(2024)
+    # Every range combination of the first d-1 genes once (the last gene
+    # is always 0): cubes of one dimensionality off the last gene all
+    # hold the same count, so most steps are ties that only the
+    # first-minimum rule decides.
+    factorial = np.array(
+        list(itertools.product(range(PHI), repeat=N_GENES)), dtype=np.int16
+    )[::3]
+    sparse = rng.integers(0, PHI, size=(40, N_GENES), dtype=np.int16)
+    skewed = np.minimum(
+        rng.geometric(0.5, size=(400, N_GENES)) - 1, PHI - 1
+    ).astype(np.int16)
+    skewed[rng.random(skewed.shape) < 0.05] = -1
+    return {"ties": factorial, "sparse": sparse, "skewed": skewed}
+
+
+GRIDS = differential_grids()
+
+
+def parent_pairs(seed, k):
+    """Random pairs: unrelated, all positions shared, and half shared."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(12):
+        a = random_solution(N_GENES, k, PHI, rng)
+        pairs.append((a, random_solution(N_GENES, k, PHI, rng)))
+        same_positions = list(a.genes)
+        for pos in a.fixed_positions:
+            same_positions[pos] = int(rng.integers(0, PHI))
+        pairs.append((a, Solution(same_positions)))
+        keep = a.fixed_positions[: (k + 1) // 2]
+        new = rng.choice(a.wildcard_positions, size=k - len(keep), replace=False)
+        half = [WILDCARD_GENE] * N_GENES
+        for pos in (*keep, *new):
+            half[int(pos)] = int(rng.integers(0, PHI))
+        pairs.append((a, Solution(half)))
+    return pairs
+
+
+def memo_trace(op, counter, k, pairs):
+    evaluator = FitnessEvaluator(counter, dimensionality=k)
+    children = [op.recombine(a, b, evaluator, np.random.default_rng(0)) for a, b in pairs]
+    cache = counter._cache
+    return {
+        "children": children,
+        "evaluations": evaluator.n_evaluations,
+        "count_calls": counter.n_count_calls,
+        "cache_hits": counter.n_cache_hits,
+        "cache": None if cache is None else list(cache.items()),
+    }
+
+
+class TestBatchedStepsMatchPerCubeOracle:
+    @pytest.mark.parametrize("flavour", ["dense", "packed", "sharded"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("cache_size", [200_000, 5, 0])
+    @pytest.mark.parametrize("max_exact", [12, 1])
+    def test_children_and_memo_match(
+        self, flavour, grid, cache_size, max_exact, tmp_path
+    ):
+        cells = CellAssignment(GRIDS[grid], PHI)
+        built = itertools.count()
+
+        def make():
+            if flavour == "dense":
+                return CubeCounter(cells, cache_size=cache_size)
+            if flavour == "packed":
+                return PackedCubeCounter(cells, cache_size=cache_size)
+            store = ShardedMaskStore.build(
+                cells, tmp_path / f"store{next(built)}", shard_rows=97
+            )
+            return ShardedCounter(store, cache_size=cache_size)
+
+        for k in (2, 3, 4):
+            pairs = parent_pairs(seed=k, k=k)
+            got = memo_trace(OptimizedCrossover(max_exact), make(), k, pairs)
+            want = memo_trace(PerCubeCrossover(max_exact), make(), k, pairs)
+            assert got == want
+            assert got["evaluations"] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_whole_ga_run_matches_per_cube_oracle(seed, correlated_data):
+    """A full GA run: same result and the same counter statistics.
+
+    ``evaluations``, ``count_calls``, ``cache_hits`` and
+    ``cache_entries`` are part of the determinism contract
+    (docs/determinism.md), so batching the crossover may not move them.
+    """
+    from repro.grid.discretizer import EquiDepthDiscretizer
+    from repro.search.evolutionary.config import EvolutionaryConfig
+    from repro.search.evolutionary.engine import EvolutionarySearch
+
+    cells = EquiDepthDiscretizer(5).fit_transform(correlated_data)
+
+    def run(crossover):
+        counter = CubeCounter(cells)
+        outcome = EvolutionarySearch(
+            counter, 3, 10,
+            config=EvolutionaryConfig(population_size=24, max_generations=20),
+            crossover=crossover, random_state=seed,
+        ).run()
+        stats = counter.cache_stats()
+        return (
+            [(p.subspace, p.count, p.coefficient) for p in outcome.projections],
+            outcome.stats["evaluations"],
+            outcome.stats["generations"],
+            stats["count_calls"], stats["cache_hits"], stats["cache_entries"],
+            list(counter._cache),
+        )
+
+    assert run(OptimizedCrossover()) == run(PerCubeCrossover())

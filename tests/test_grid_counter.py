@@ -174,6 +174,144 @@ class TestCache:
         assert uncached.cache_stats()["cache_entries"] == 0
 
 
+def memo_state(counter):
+    """What count() leaves behind: call/hit counters and the LRU in order."""
+    cache = counter._cache
+    return (
+        counter.n_count_calls,
+        counter.n_cache_hits,
+        None if cache is None else list(cache.items()),
+    )
+
+
+def extended_cube(base, extension):
+    return Subspace.from_pairs([*zip(*base), *extension])
+
+
+@pytest.fixture(params=["dense", "packed", "sharded"])
+def make_counter(request, tmp_path):
+    """Builds counters of one flavour; the sharded store has ragged shards."""
+    from repro.grid.packed_counter import PackedCubeCounter
+    from repro.grid.sharded import ShardedCounter, ShardedMaskStore
+
+    built = []
+
+    def make(cells, cache_size=200_000):
+        if request.param == "dense":
+            return CubeCounter(cells, cache_size=cache_size)
+        if request.param == "packed":
+            return PackedCubeCounter(cells, cache_size=cache_size)
+        built.append(None)
+        store = ShardedMaskStore.build(
+            cells, tmp_path / f"store{len(built)}", shard_rows=37
+        )
+        return ShardedCounter(store, cache_size=cache_size)
+
+    return make
+
+
+class TestCountExtended:
+    """count_extended == one count() per cube, counts and memo alike."""
+
+    def steps(self):
+        one_gene = [((4, r),) for r in range(5)] + [((2, 1),), ((4, 0),)]
+        return [
+            (((0, 3), (1, 2)), one_gene),
+            (((0,), (1,)), [((1, 0), (3, 4)), ((1, 2), (3, 4)), ((1, 0), (3, 1))]),
+            (((0, 3), (1, 2)), one_gene[::-1]),
+        ]
+
+    def run_both(self, make_counter, cells, cache_size, warm=()):
+        counter = make_counter(cells, cache_size)
+        reference = CubeCounter(cells, cache_size=cache_size)
+        for cube in warm:
+            counter.count(cube)
+            reference.count(cube)
+        for base, extensions in self.steps():
+            got = counter.count_extended(base, extensions)
+            want = [reference.count(extended_cube(base, e)) for e in extensions]
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+            assert memo_state(counter) == memo_state(reference)
+
+    def test_matches_per_cube_count(self, make_counter, small_cells):
+        warm = [Subspace((0, 3, 4), (1, 2, 2)), Subspace((0, 1, 3), (1, 0, 4))]
+        self.run_both(make_counter, small_cells, 200_000, warm)
+
+    def test_lru_evictions_inside_one_call(self, make_counter, small_cells):
+        # A cache smaller than one step: misses evict keys that later
+        # candidates of the same call look up again.
+        warm = [Subspace((0, 3, 4), (1, 2, 2))]
+        for size in (1, 2, 3):
+            self.run_both(make_counter, small_cells, size, warm)
+
+    def test_cache_size_zero(self, make_counter, small_cells):
+        self.run_both(make_counter, small_cells, 0)
+        counter = make_counter(small_cells, 0)
+        counter.count_extended(((0,), (1,)), [((2, 0),)] * 3)
+        assert counter._cache is None
+        assert counter.n_cache_hits == 0
+        assert counter.n_count_calls == 3
+
+    def test_empty_base(self, make_counter, small_cells):
+        counter = make_counter(small_cells)
+        extensions = [((d, r),) for d in (5, 0, 2) for r in range(5)]
+        got = counter.count_extended(((), ()), extensions)
+        reference = CubeCounter(small_cells)
+        want = [reference.count(extended_cube(((), ()), e)) for e in extensions]
+        assert got.tolist() == want
+        assert memo_state(counter) == memo_state(reference)
+        # No genes at all: the empty cube holds every point.
+        assert counter.count_extended(((), ()), [()]).tolist() == [200]
+
+    def test_no_extensions(self, make_counter, small_cells):
+        counter = make_counter(small_cells)
+        assert counter.count_extended(((0,), (1,)), []).tolist() == []
+        assert memo_state(counter) == (0, 0, [])
+
+    @pytest.mark.parametrize(
+        "base, extensions",
+        [
+            (((0,), (1,)), [((6, 0),)]),       # dimension past d
+            (((0,), (1,)), [((-1, 0),)]),      # negative dimension
+            (((0,), (1,)), [((2, 5),)]),       # range past φ
+            (((0,), (1,)), [((2, -1),)]),      # negative range
+            (((0,), (1,)), [((0, 2),)]),       # dimension already fixed
+            (((0,), (1,)), [((2, 0), (2, 1))]),  # repeated within one extension
+            (((0,), (9,)), [((2, 0),)]),       # base range past φ
+            (((0, 1), (1,)), [((2, 0),)]),     # malformed base key
+        ],
+    )
+    def test_bad_genes_raise_validation_error(
+        self, make_counter, small_cells, base, extensions
+    ):
+        counter = make_counter(small_cells)
+        with pytest.raises(ValidationError):
+            counter.count_extended(base, [((3, 0),), *extensions])
+        # Validation happens before the memo is touched.
+        assert memo_state(counter) == (0, 0, [])
+
+    def test_base_anded_only_when_a_candidate_misses(
+        self, make_counter, small_cells, monkeypatch
+    ):
+        counter = make_counter(small_cells)
+        calls = []
+        original = counter._count_extensions
+
+        def spy(base, extensions):
+            calls.append(list(extensions))
+            return original(base, extensions)
+
+        monkeypatch.setattr(counter, "_count_extensions", spy)
+        base = ((0,), (1,))
+        counter.count_extended(base, [((2, 0),), ((2, 1),)])
+        assert calls == [[((2, 0),), ((2, 1),)]]
+        counter.count_extended(base, [((2, 1),), ((2, 0),)])  # all hits
+        assert len(calls) == 1
+        counter.count_extended(base, [((2, 1),), ((3, 3),), ((3, 3),)])
+        assert calls[-1] == [((3, 3),)]  # only the distinct miss
+
+
 class TestValidationErrors:
     def test_rejects_non_cells(self):
         with pytest.raises(ValidationError):

@@ -256,6 +256,24 @@ class TestShardReadFaults:
         assert resilience["retries"].get("shard.read", 0) >= 1
         assert resilience["recoveries"].get("shard_read", 0) >= 1
 
+    @pytest.mark.parametrize("trigger", [0, 2])
+    def test_count_extended_recovers_bit_identical(self, cells, tmp_path, trigger):
+        from repro.grid.counter import CubeCounter
+
+        store = ShardedMaskStore.build(
+            cells, tmp_path / "store", shard_rows=SHARD_ROWS
+        )
+        counter = ShardedCounter(store, cells=cells)
+        base = ((0,), (1,))
+        extensions = [((dim, rng),) for dim in (1, 3) for rng in range(N_RANGES)]
+        reference = CubeCounter(cells)
+        want = reference.count_extended(base, extensions)
+        with fault_injection(FaultSpec("shard_read", trigger=trigger, times=1)):
+            got = counter.count_extended(base, extensions)
+        assert got.tolist() == want.tolist()
+        assert list(counter._cache.items()) == list(reference._cache.items())
+        assert counter.resilience.as_dict()["retries"].get("shard.read", 0) == 1
+
     def test_persistent_read_without_codes_is_typed(self, cells, tmp_path):
         from repro.core.subspace import Subspace
 
