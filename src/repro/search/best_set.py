@@ -19,7 +19,9 @@ generations) are kept once.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+
+import numpy as np
 
 from .._validation import check_positive_int
 from ..core.results import ScoredProjection
@@ -95,6 +97,48 @@ class BestProjectionSet:
         self._seen[key] = projection.coefficient
         self.n_accepted += 1
         return True
+
+    def offer_block(
+        self,
+        counts: np.ndarray,
+        coefficients: np.ndarray,
+        subspace_at: Callable[[int], Subspace],
+    ) -> int:
+        """Offer a block of scored cubes in order; return how many were kept.
+
+        Equivalent to calling :meth:`offer` on cube ``i`` (built by
+        ``subspace_at(i)``) for ``i = 0, 1, ...`` in turn.  Every cube
+        :meth:`offer` would reject against the set as it stands at the
+        start of the block — empty under ``require_nonempty``, above
+        ``threshold``, or no better than the worst kept entry of a full
+        set — is dropped in one vectorized pass and only counted in
+        :attr:`n_offers`: the worst kept coefficient can only fall as
+        the block is offered, so none of them could have got in later.
+        The survivors go through :meth:`offer` one by one, so dedupe,
+        tie order, insertion counters and :attr:`n_accepted` are those
+        of the sequential offers, and a :class:`ScoredProjection` is
+        built only for them.
+        """
+        counts = np.asarray(counts)
+        coefficients = np.asarray(coefficients, dtype=np.float64)
+        # Negated comparisons mirror offer()'s rejection tests exactly.
+        keep = np.ones(len(counts), dtype=bool)
+        if self.require_nonempty:
+            keep &= counts != 0
+        if self.threshold is not None:
+            keep &= ~(coefficients > self.threshold)
+        if self.max_size is not None and len(self._heap) >= self.max_size:
+            keep &= ~(coefficients >= -self._heap[0][0])
+        survivors = np.flatnonzero(keep).tolist()
+        self.n_offers += len(counts) - len(survivors)
+        accepted = 0
+        for i in survivors:
+            accepted += self.offer(
+                ScoredProjection(
+                    subspace_at(i), int(counts[i]), float(coefficients[i])
+                )
+            )
+        return accepted
 
     def offer_cube(self, subspace: Subspace, count: int, coefficient: float) -> bool:
         """Convenience wrapper building the :class:`ScoredProjection`."""

@@ -10,9 +10,17 @@ is generated exactly once.
 
 Two enumeration strategies produce identical best sets:
 
-* ``depth_first`` (default) — each partial cube's membership mask is
-  computed once and reused by all its extensions, and the final level
-  is scored with a single vectorized ``bincount`` per dimension.
+* ``depth_first`` (default) — each partial cube travels as plain
+  ``(dims, ranges)`` tuples with its membership mask, computed once and
+  reused by all its extensions.  A partial one dimension short of ``k``
+  scores its whole leaf level as one block: one ``bincount`` over its
+  rows of ``codes[:, max_dim+1:]`` (column ``j`` offset by ``j·φ``,
+  missing codes dropped) counts every extension over every remaining
+  dimension, one Eq. 1 call scores them, and one
+  :meth:`~repro.search.best_set.BestProjectionSet.offer_block` admits
+  them.  The block offer drops in numpy every cube the best set would
+  reject anyway, so a :class:`~repro.core.subspace.Subspace` is built
+  only for the few cubes that may enter it.
 * ``level_batch`` — the paper's literal breadth-first ``R_{i+1} = R_i ⊕
   Q_1``: every level is evaluated through the counter's batched
   AND/popcount kernel (:meth:`~repro.grid.counter.CubeCounter.
@@ -24,7 +32,11 @@ Cost still explodes combinatorially — that is the paper's point (the
 musk dataset's 160 dimensions defeated their brute-force run entirely)
 — so a ``max_seconds``/``max_evaluations`` budget lets callers
 reproduce the "did not terminate" row gracefully via
-``SearchOutcome.completed``.
+``SearchOutcome.completed``.  ``depth_first`` honours
+``max_evaluations`` per leaf dimension: a leaf block is cut to its
+first ``ceil((cap − evaluations)/φ)`` dimensions, so a capped run
+overshoots the cap by less than φ cubes.  ``level_batch`` checks its
+budgets between chunks of ``LEVEL_BATCH_CHUNK`` cubes.
 """
 
 from __future__ import annotations
@@ -40,7 +52,6 @@ from .._validation import check_positive_int
 from ..engine.context import RunContext
 from ..engine.protocol import GeneratorEngine
 from ..exceptions import CheckpointError, SearchCancelled, ValidationError
-from ..core.results import ScoredProjection
 from ..core.subspace import Subspace
 from ..grid.counter import CubeCounter
 from ..sparsity.coefficient import sparsity_coefficients
@@ -230,8 +241,15 @@ class BruteForceSearch(GeneratorEngine):
                         checkpointer=checkpointer, context=context,
                     )
                 else:
+                    if self.counter.cells is None:
+                        raise ValidationError(
+                            "depth-first brute force needs per-point grid "
+                            "codes, which a pure out-of-core ShardedCounter "
+                            "does not hold; construct it with cells=..., or "
+                            "use strategy='level_batch'"
+                        )
                     all_points = np.ones(self.counter.n_points, dtype=bool)
-                    self._extend(Subspace.empty(), all_points, -1, d, k, best, state)
+                    self._extend((), (), all_points, -1, d, k, best, state)
             except SearchCancelled:
                 # Cancellation struck inside the counting engine mid-batch;
                 # that batch's offers never happened, so the last
@@ -323,7 +341,8 @@ class BruteForceSearch(GeneratorEngine):
     # ------------------------------------------------------------------
     def _extend(
         self,
-        partial: Subspace,
+        dims: tuple[int, ...],
+        ranges: tuple[int, ...],
         mask: np.ndarray,
         max_dim: int,
         n_dims: int,
@@ -331,48 +350,92 @@ class BruteForceSearch(GeneratorEngine):
         best: BestProjectionSet,
         state: "_RunState",
     ) -> None:
-        """Depth-first ``R_i ⊕ Q_1`` with canonical dimension ordering."""
+        """Depth-first ``R_i ⊕ Q_1`` with canonical dimension ordering.
+
+        The partial cube travels as plain ``(dims, ranges)`` tuples plus
+        its membership mask; a partial one dimension short of ``k``
+        scores its whole leaf level as one block.
+        """
         if state.exhausted:
             return
-        remaining = k - partial.dimensionality
+        remaining = k - len(dims)
+        if remaining == 1:
+            self._score_leaf_block(dims, ranges, mask, max_dim + 1, best, state)
+            return
+        codes = self.counter.cells.codes
         # Leave room for the remaining levels: the last usable start
         # dimension is n_dims - remaining.
         for dim in range(max_dim + 1, n_dims - remaining + 1):
             if state.check_budget():
                 return
             counts = self.counter.extension_counts(mask, dim)
-            if remaining == 1:
-                coefficients = sparsity_coefficients(
-                    counts, self.counter.n_points, self.counter.n_ranges, k
+            col = codes[:, dim]
+            for rng in range(self.counter.n_ranges):
+                if counts[rng] == 0 and self.require_nonempty:
+                    # Every extension of an empty cube is empty; when
+                    # empty cubes cannot be reported we can prune the
+                    # whole subtree (counts are monotone under ⊕).
+                    continue
+                self._extend(
+                    dims + (dim,),
+                    ranges + (rng,),
+                    mask & (col == rng),
+                    dim,
+                    n_dims,
+                    k,
+                    best,
+                    state,
                 )
-                state.evaluations += len(counts)
-                for rng, (count, coeff) in enumerate(zip(counts, coefficients, strict=True)):
-                    best.offer(
-                        ScoredProjection(
-                            partial.extended(dim, rng), int(count), float(coeff)
-                        )
-                    )
-            else:
-                col = self.counter.cells.codes[:, dim]
-                for rng in range(self.counter.n_ranges):
-                    if counts[rng] == 0 and self.require_nonempty:
-                        # Every extension of an empty cube is empty; when
-                        # empty cubes cannot be reported we can prune the
-                        # whole subtree (counts are monotone under ⊕).
-                        continue
-                    child_mask = mask & (col == rng)
-                    self._extend(
-                        partial.extended(dim, rng),
-                        child_mask,
-                        dim,
-                        n_dims,
-                        k,
-                        best,
-                        state,
-                    )
-                    if state.exhausted:
-                        return
+                if state.exhausted:
+                    return
 
+    def _score_leaf_block(
+        self,
+        dims: tuple[int, ...],
+        ranges: tuple[int, ...],
+        mask: np.ndarray,
+        lo: int,
+        best: BestProjectionSet,
+        state: "_RunState",
+    ) -> None:
+        """Score every extension of a partial cube over dims ``lo..d-1``.
+
+        One ``bincount`` over the partial's rows of ``codes[:, lo:]``,
+        column ``j`` offset by ``j·φ``, gives the ``(#dims·φ)`` counts in
+        generation order; one Eq. 1 call scores them and one block offer
+        admits them.  An evaluation cap cuts the block to its first
+        ``ceil((cap − evaluations)/φ)`` dimensions — the granularity of
+        a per-dimension budget check — so a capped run stops exactly
+        where checking before each dimension would.
+        """
+        if state.check_budget():
+            return
+        counter = self.counter
+        phi = counter.n_ranges
+        n_block = counter.n_dims - lo
+        if state.max_evaluations is not None:
+            n_block = min(
+                n_block, -(-(state.max_evaluations - state.evaluations) // phi)
+            )
+        block = counter.cells.codes[mask, lo : lo + n_block]
+        present = block >= 0
+        offsets = np.arange(0, n_block * phi, phi, dtype=np.intp)
+        counts = np.bincount(
+            (block + offsets)[present], minlength=n_block * phi
+        )
+        coefficients = sparsity_coefficients(
+            counts, counter.n_points, phi, self.dimensionality
+        )
+        state.evaluations += len(counts)
+        best.offer_block(
+            counts,
+            coefficients,
+            lambda i: Subspace(dims + (lo + i // phi,), ranges + (i % phi,)),
+        )
+        if n_block < counter.n_dims - lo:
+            # The cap cut the block: latch it as the next per-dimension
+            # check would.
+            state.check_budget()
 
     # ------------------------------------------------------------------
     def _run_levels(
@@ -504,17 +567,11 @@ class BruteForceSearch(GeneratorEngine):
         for lo in range(0, len(leaves), chunk):
             if state.check_budget():
                 return
-            block = leaves[lo : lo + chunk]
-            subspaces = [Subspace(dm, rg) for dm, rg in block]
+            subspaces = [Subspace(dm, rg) for dm, rg in leaves[lo : lo + chunk]]
             counts = counter.count_batch(subspaces)
             coefficients = sparsity_coefficients(counts, n, phi, k)
-            state.evaluations += len(block)
-            for subspace, count, coefficient in zip(
-                subspaces, counts, coefficients, strict=True
-            ):
-                best.offer(
-                    ScoredProjection(subspace, int(count), float(coefficient))
-                )
+            state.evaluations += len(subspaces)
+            best.offer_block(counts, coefficients, subspaces.__getitem__)
 
 
 class _RunState:

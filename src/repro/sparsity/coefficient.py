@@ -116,8 +116,8 @@ def sparsity_coefficients(
 ) -> np.ndarray:
     """Vectorized Equation 1 over an array of cube counts.
 
-    Used by the brute-force enumerator, which scores all φ extensions
-    of a partial cube in one shot.
+    Used by the brute-force enumerator, which scores every extension
+    of a partial cube over all its remaining dimensions in one shot.
     """
     n_points = check_positive_int(n_points, "n_points")
     n_ranges = check_positive_int(n_ranges, "n_ranges", minimum=2)

@@ -139,3 +139,59 @@ def test_property_equals_true_top_m(coefficients, m):
         best.offer(ScoredProjection(Subspace((i,), (0,)), 1, c))
     kept = [p.coefficient for p in best.entries()]
     assert kept == sorted(coefficients)[: min(m, len(coefficients))]
+
+
+@settings(max_examples=200)
+@given(
+    prefix=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 3), st.sampled_from([-2.0, -1.0, 0.0, 1.5])),
+        max_size=8,
+    ),
+    blocks=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.integers(0, 3),
+                st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0, 1.5]),
+            ),
+            max_size=12,
+        ),
+        max_size=4,
+    ),
+    m=st.one_of(st.none(), st.integers(1, 5)),
+    threshold=st.one_of(st.none(), st.sampled_from([-2.0, -1.0, 0.0])),
+    require_nonempty=st.booleans(),
+)
+def test_property_offer_block_equals_sequential_offers(
+    prefix, blocks, m, threshold, require_nonempty
+):
+    """A block offer leaves the set exactly as offering each cube in turn.
+
+    Cubes are ``(dim, count, coefficient)``: few dims make duplicates,
+    few coefficients make ties, and count 0 makes empty cubes.
+    """
+    if m is None and threshold is None:
+        threshold = -1.0
+
+    def make():
+        return BestProjectionSet(m, require_nonempty=require_nonempty, threshold=threshold)
+
+    sequential, blocked = make(), make()
+    for dim, count, coefficient in prefix:
+        sequential.offer(proj(dim, 0, coefficient, count))
+        blocked.offer(proj(dim, 0, coefficient, count))
+    for block in blocks:
+        kept = sum(
+            sequential.offer(proj(dim, 0, coefficient, count))
+            for dim, count, coefficient in block
+        )
+        accepted = blocked.offer_block(
+            [count for _, count, _ in block],
+            [coefficient for _, _, coefficient in block],
+            lambda i, block=block: Subspace((block[i][0],), (0,)),
+        )
+        assert accepted == kept
+        assert blocked.to_state() == sequential.to_state()
+    assert (blocked.n_offers, blocked.n_accepted) == (
+        sequential.n_offers, sequential.n_accepted,
+    )

@@ -28,6 +28,7 @@ from repro.grid.sharded import (
     ShardedMaskStore,
     group_digest,
 )
+from repro.search.brute_force import BruteForceSearch
 
 # N deliberately not a multiple of shard_rows: the last shard is ragged
 # (3 rows), and 100-row shards leave ragged packed words inside every
@@ -271,6 +272,14 @@ class TestShardedDifferential:
         )
         with pytest.raises(ValidationError, match="cells"):
             without.extension_counts(base, 2)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_depth_first_brute_force_needs_cells(self, store, cells, k):
+        want = BruteForceSearch(PackedCubeCounter(cells), k, 5).run()
+        got = BruteForceSearch(ShardedCounter(store, cells=cells), k, 5).run()
+        assert got.projections == want.projections
+        with pytest.raises(ValidationError, match="cells"):
+            BruteForceSearch(ShardedCounter(store), k, 5).run()
 
     def test_single_shard_store_matches(self, cells, cubes, reference_counts, tmp_path):
         # shard_rows >= N: the degenerate one-shard store must behave
